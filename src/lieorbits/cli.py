@@ -115,7 +115,11 @@ def _cmd_maxroot(args):
 
 def _cmd_parabolic(args):
     rs = _root_system(args)
-    pd = rootsys.parabolic_data(rs, _parse_subset(args.subset))
+    subset = _parse_subset(args.subset)
+    for i in sorted(subset):
+        if not 1 <= i <= rs.rank:
+            raise ValueError(f"--subset index {i} is out of range 1..{rs.rank} for {args.type}{args.rank}")
+    pd = rootsys.parabolic_data(rs, subset)
     return {
         "type": args.type,
         "rank": args.rank,
@@ -195,6 +199,11 @@ def _cmd_poset(args):
 def _cmd_closure(args):
     lower = _parse_partition(args.lower)
     upper = _parse_partition(args.upper)
+    if lower.n != args.n or upper.n != args.n:
+        raise _UsageError(
+            f"--n {args.n} does not match the partitions: --lower sums to {lower.n}, --upper to {upper.n}",
+            hint="--n must equal the sum of the parts of both partitions",
+        )
     return {
         "n": args.n,
         "lower": list(lower.parts),

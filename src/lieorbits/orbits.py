@@ -3,8 +3,10 @@
 Orbits are labeled by partitions, ordered by dominance (prefix sums), with
 the closure order realized two independent ways: the dominance test itself
 and an exact rank oracle on powers of the Jordan representatives.  The poset
-is emitted with covering relations (transitive reduction), dimension labels,
-and deterministic reverse-lexicographic node order.
+is emitted with its covering relations, dimension labels, and deterministic
+reverse-lexicographic node order.  Covers come straight from Brylawski's rule
+(T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973),
+so the diagram needs no pairwise dominance comparisons.
 """
 
 from __future__ import annotations
@@ -129,18 +131,32 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
 
 
 def hasse_diagram(n: int) -> OrbitPoset:
-    """Dominance order on partitions of n, reduced to covering relations."""
+    """Dominance order on partitions of n, as its covering relations.
+
+    Brylawski's rule (Discrete Math. 6, 1973): mu covers lam iff
+    mu = lam + e_i - e_j for some i < j, mu is a partition, and either
+    j = i + 1 or lam_i = lam_j.  Raising part i keeps the parts weakly
+    decreasing only when i starts a run of equal parts.  For such an i the
+    rule leaves one j: the end of that run if the run has two or more parts,
+    else i + 1.  The candidate is a partition iff it is one of the nodes,
+    which the parts -> index lookup decides.
+    """
     nodes = partitions(n)
-    k = len(nodes)
-    leq = [[dominance_leq(nodes[i], nodes[j]) for j in range(k)] for i in range(k)]
+    index = {p.parts: k for k, p in enumerate(nodes)}
     covers = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not leq[i][j]:
+    for lo, lam in enumerate(nodes):
+        parts = lam.parts
+        last = len(parts) - 1
+        for i in range(last):
+            if i and parts[i - 1] == parts[i]:
                 continue
-            if any(t != i and t != j and leq[i][t] and leq[t][j] for t in range(k)):
-                continue
-            covers.append((i, j))
+            j = i + 1
+            while j < last and parts[j + 1] == parts[i]:
+                j += 1
+            mu = parts[:i] + (parts[i] + 1,) + parts[i + 1 : j] + (parts[j] - 1,) + parts[j + 1 :]
+            hi = index.get(mu if mu[-1] else mu[:-1])
+            if hi is not None:
+                covers.append((lo, hi))
     covers.sort()
     return OrbitPoset(n=n, nodes=tuple(nodes), covers=tuple(covers))
 

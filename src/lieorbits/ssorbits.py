@@ -140,7 +140,7 @@ def centralizer_root_set(rs: RootSystem, h: TorusElement) -> tuple[Root, ...]:
     """All roots vanishing on h, in canonical order.
 
     When h lies in the fundamental domain this set must coincide with the
-    Levi root set of the vanishing simple roots; that equality is asserted.
+    Levi root set of the vanishing simple roots; a mismatch raises RuntimeError.
     """
     vals = simple_values(rs, h)
     vanishing = []
@@ -154,7 +154,8 @@ def centralizer_root_set(rs: RootSystem, h: TorusElement) -> tuple[Root, ...]:
     out = tuple(vanishing)
     if in_fundamental_domain(rs, h):
         levi = parabolic_data(rs, pi_of_h(rs, h)).delta_s
-        assert set(out) == set(levi), "vanishing roots differ from the Levi root set inside D"
+        if set(out) != set(levi):
+            raise RuntimeError("vanishing roots differ from the Levi root set inside D")
     return out
 
 

@@ -10,6 +10,14 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def one_json_line(out):
+    lines = out.splitlines()
+    assert len(lines) == 1
+    d = json.loads(lines[0])
+    assert set(d) == {"error", "hint"}
+    return d
+
+
 def write_matrix(tmp_path, name, n, entries):
     path = tmp_path / name
     path.write_text(json.dumps({"n": n, "entries": entries}))
@@ -45,6 +53,14 @@ def test_parabolic(capsys):
     assert code == 0 and (d["dim_l"], d["dim_u"], d["dim_p"]) == (4, 2, 6)
     code, out = run(capsys, ["parabolic", "--type", "A", "--rank", "2"])
     assert json.loads(out)["dim_u"] == 3  # Borel
+
+
+def test_parabolic_subset_out_of_range(capsys):
+    for bad in ("9", "1,0"):
+        code, out = run(capsys, ["parabolic", "--type", "A", "--rank", "3", "--subset", bad])
+        assert code == 1
+        error = one_json_line(out)["error"]
+        assert f"index {bad[-1]}" in error and "1..3" in error
 
 
 def test_w0(capsys):
@@ -143,6 +159,15 @@ def test_closure(capsys):
     code, out = run(capsys, ["closure", "--n", "6", "--lower", "2,2,1,1", "--upper", "3,1,1,1"])
     d = json.loads(out)
     assert d["dominance"] is True and d["rank_oracle"] is True
+
+
+def test_closure_n_mismatch(capsys):
+    code, out = run(capsys, ["closure", "--n", "7", "--lower", "2,2,2", "--upper", "3,1,1,1"])
+    assert code == 2
+    assert "--n 7" in one_json_line(out)["error"]
+    code, out = run(capsys, ["closure", "--n", "6", "--lower", "2,2,2", "--upper", "3,1,1,1,1"])
+    assert code == 2
+    assert "--upper to 7" in one_json_line(out)["error"]
 
 
 def test_ssorbit(capsys):

@@ -150,7 +150,7 @@ def test_minimal_orbit_covers_only_zero():
 
 def test_covers_match_definitional_reduction():
     # a cover is a strict relation with nothing strictly between
-    for n in range(1, 9):
+    for n in range(1, 13):
         h = hasse_diagram(n)
         nodes = h.nodes
         expected = set()
@@ -164,6 +164,18 @@ def test_covers_match_definitional_reduction():
                 continue
             expected.add((i, j))
         assert set(h.covers) == expected
+
+
+def test_hasse_diagram_n30():
+    h = hasse_diagram(30)
+    assert len(h.nodes) == 5604
+    maxima = set(range(len(h.nodes))) - {lo for lo, _ in h.covers}
+    minima = set(range(len(h.nodes))) - {hi for _, hi in h.covers}
+    assert [h.nodes[i].parts for i in maxima] == [(30,)]
+    assert [h.nodes[i].parts for i in minima] == [(1,) * 30]
+    for lo, hi in h.covers:
+        assert dominance_leq(h.nodes[lo], h.nodes[hi])
+        assert orbit_dim_partition(h.nodes[lo]) < orbit_dim_partition(h.nodes[hi])
 
 
 def test_strict_dimension_drop_along_covers():

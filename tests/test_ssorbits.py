@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import rand_jordan_type, rand_rational_spectrum
+from lieorbits import ssorbits
 from lieorbits.rootsys import CartanType, build_root_system, parabolic_data, solve_coroot_coords
 from lieorbits.sln import is_semisimple, jordan_chevalley, same_orbit
 from lieorbits.ssorbits import (
@@ -68,6 +69,15 @@ def test_centralizer_root_set():
     vanishing = {r.coeffs for r in centralizer_root_set(a2, h)}
     assert vanishing == {(1, 0), (-1, 0)}
     assert vanishing == {r.coeffs for r in parabolic_data(a2, {1}).delta_s}
+
+
+def test_centralizer_levi_mismatch_raises(monkeypatch):
+    a2 = build_root_system(CartanType("A", 2))
+    h = torus_with_values(a2, [0, 1])
+    borel = parabolic_data(a2, frozenset())
+    monkeypatch.setattr(ssorbits, "parabolic_data", lambda rs, subset: borel)
+    with pytest.raises(RuntimeError, match="Levi root set"):
+        centralizer_root_set(a2, h)
 
 
 def test_centralizer_inclusion_outside_domain():
