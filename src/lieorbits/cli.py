@@ -2,9 +2,10 @@
 
 Exit status: 0 on success, 2 on usage problems (bad flags, unreadable or
 malformed input files), 1 on domain errors (non-nilpotent input to jm,
-irrational spectra, invalid rank for a family, ...).  Every failure prints a
-one-line JSON object {"error": ..., "hint": ...}; identical inputs always
-produce byte-identical outputs.
+irrational spectra, invalid rank for a family, ...), 3 when an internal
+self-check fails (a bug; the error names the function whose check failed).
+Every failure prints a one-line JSON object {"error": ..., "hint": ...};
+identical inputs always produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -323,6 +324,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _raise_site(exc: BaseException) -> str:
+    """Module-qualified name of the function that raised exc."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    return f"{frame.f_globals.get('__name__', '?')}.{frame.f_code.co_name}"
+
+
 def _write(payload, out_path: str | None, stream) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
     if out_path:
@@ -347,6 +357,11 @@ def main(argv=None) -> int:
         hint = _DOMAIN_HINTS.get(type(exc), "see --help of the subcommand for the expected inputs")
         stream.write(json.dumps({"error": str(exc), "hint": hint}) + "\n")
         return 1
+    except RuntimeError as exc:
+        error = f"self-check failed in {_raise_site(exc)}: {exc}"
+        hint = "this is a bug in lieorbits; please report it with the input that triggered it"
+        stream.write(json.dumps({"error": error, "hint": hint}) + "\n")
+        return 3
     try:
         _write(payload, args.out, stream)
     except OSError as exc:

@@ -3,13 +3,16 @@
 Matrices are lists of rows of Fraction entries; polynomials are coefficient
 lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances: ranks come from fraction-free (Bareiss) elimination on
-integer-scaled rows, and every division in the polynomial routines is exact.
+integer-scaled rows, the characteristic polynomial from Faddeev-LeVerrier on
+the integer matrix d*a (d the lcm of the denominators of a), and every
+division in the polynomial routines is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -82,10 +85,6 @@ def mat_trace(a: Matrix) -> Fraction:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def rank(m: Matrix) -> int:
@@ -199,43 +198,31 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * out
-
-
 def charpoly(a: Matrix) -> Poly:
     """Coefficients of det(lambda*I - a), lowest degree first, monic.
 
-    Faddeev-LeVerrier recursion; every step stays in the rationals.
+    Faddeev-LeVerrier on the integer matrix A = d*a, d the lcm of the
+    denominators of a: M_k = A M_(k-1) + c_(k-1) I and c_k = -tr(A M_k)/k,
+    where every division is exact.  Coefficient k of A's polynomial is
+    d^k times that of a.
     """
     n = len(a)
-    coeffs = [Fraction(1)]  # built high degree first
-    m = zeros(n, n)
+    d = lcm(*(x.denominator for row in a for x in row))
+    ai = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    coeffs = [1]  # built high degree first
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        t = Fraction(0)
-        for i in range(n):
-            t += sum((a[i][j] * m[j][i] for j in range(n)), Fraction(0))
-        coeffs.append(-t / k)
-    return list(reversed(coeffs))
+        if k > 1:
+            cols = list(zip(*m))
+            m = [[sum(map(mul, row, col)) for col in cols] for row in ai]
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+        t = sum(sum(map(mul, row, col)) for row, col in zip(ai, zip(*m)))
+        c, rem = divmod(-t, k)
+        if rem:
+            raise RuntimeError(f"Faddeev-LeVerrier step {k} left remainder {rem} on an integer matrix")
+        coeffs.append(c)
+    return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +247,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
     return poly_add(p, [-x for x in q])
-
-
-def poly_scale(p: Poly, s) -> Poly:
-    s = frac(s)
-    return poly_trim([s * x for x in p])
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:

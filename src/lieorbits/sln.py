@@ -8,6 +8,12 @@ pairing.  All arithmetic is exact; there is no floating-point mode.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
+
+The adjoint operator is built from the entries of x, with no matrix products:
+[x, E_ij] is column i of x placed in column j minus row j of x placed in row
+i, and [x, E_ii - E_(i+1)(i+1)] is the difference of two such matrices.  The
+orbit pairing reads its Gram matrix off the same images through the trace
+form.
 """
 
 from __future__ import annotations
@@ -139,9 +145,36 @@ def killing(x: SlnElement, y: SlnElement) -> Fraction:
     return 2 * n * t
 
 
+def _add_bracket_unit(m: Matrix, a: Matrix, i: int, j: int, sign: int) -> None:
+    """Add sign * [a, E_ij] into m: column i of a into column j, row j of a out of row i."""
+    for r, row in enumerate(a):
+        m[r][j] += sign * row[i]
+    for c, v in enumerate(a[j]):
+        m[i][c] -= sign * v
+
+
+def _ad_images(x: SlnElement) -> list[Matrix]:
+    """The matrices [x, b] for b running over the fixed basis, in basis order."""
+    n = x.n
+    a = x.to_matrix()
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                m = linalg.zeros(n, n)
+                _add_bracket_unit(m, a, i, j, 1)
+                out.append(m)
+    for i in range(n - 1):
+        m = linalg.zeros(n, n)
+        _add_bracket_unit(m, a, i, i, 1)
+        _add_bracket_unit(m, a, i + 1, i + 1, -1)
+        out.append(m)
+    return out
+
+
 def ad_matrix(x: SlnElement) -> Matrix:
     """The matrix of y -> [x, y] over the fixed basis; (n^2-1) square."""
-    cols = [coords_in_basis(bracket(x, SlnElement.from_rows(b)).to_matrix()) for b in basis_matrices(x.n)]
+    cols = [coords_in_basis(m) for m in _ad_images(x)]
     dim = len(cols)
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
@@ -158,7 +191,8 @@ def orbit_dim(x: SlnElement) -> int:
 
 
 def is_nilpotent(x: SlnElement) -> bool:
-    return linalg.mat_is_zero(linalg.mat_pow(x.to_matrix(), x.n))
+    """Nilpotent iff the characteristic polynomial is t^n."""
+    return not any(linalg.charpoly(x.to_matrix())[:-1])
 
 
 def _squarefree_part(p: Poly) -> Poly:
@@ -251,16 +285,18 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
     if ex != ey:
         return False
     n = x.n
-    for lam in ex:
+    for lam, mult in ex.items():
+        # both sides have rank n - mult for every power k >= mult
         a = x.to_matrix()
         b = y.to_matrix()
         for i in range(n):
             a[i][i] -= lam
             b[i][i] -= lam
-        pa, pb = linalg.identity(n), linalg.identity(n)
-        for _ in range(1, n + 1):
-            pa = linalg.mat_mul(pa, a)
-            pb = linalg.mat_mul(pb, b)
+        pa, pb = a, b
+        for k in range(1, mult):
+            if k > 1:
+                pa = linalg.mat_mul(pa, a)
+                pb = linalg.mat_mul(pb, b)
             if linalg.rank(pa) != linalg.rank(pb):
                 return False
     return True
@@ -274,13 +310,17 @@ def kks_form(x: SlnElement, y: SlnElement, z: SlnElement) -> Fraction:
 
 
 def kks_matrix(x: SlnElement) -> Matrix:
-    """Gram matrix of the pairing at x over the fixed basis."""
-    basis = [SlnElement.from_rows(b) for b in basis_matrices(x.n)]
-    # <x,[y,z]> = <[x,y],z>, so row y is the Killing pairing of [x,y] against the basis
+    """Gram matrix of the pairing at x over the fixed basis.
+
+    <x,[y,z]> = <[x,y],z> = 2n tr([x,y] z): against E_kl that is 2n [x,y]_lk,
+    and against E_kk - E_(k+1)(k+1) it is 2n ([x,y]_kk - [x,y]_(k+1)(k+1)).
+    """
+    n = x.n
     rows = []
-    for by in basis:
-        xy = bracket(x, by)
-        rows.append([killing(xy, bz) for bz in basis])
+    for m in _ad_images(x):
+        row = [2 * n * m[l][k] for k in range(n) for l in range(n) if k != l]
+        row.extend(2 * n * (m[k][k] - m[k + 1][k + 1]) for k in range(n - 1))
+        rows.append(row)
     return rows
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lieorbits import linalg
 from lieorbits.cli import main
 
 
@@ -61,6 +62,17 @@ def test_parabolic_subset_out_of_range(capsys):
         assert code == 1
         error = one_json_line(out)["error"]
         assert f"index {bad[-1]}" in error and "1..3" in error
+
+
+def test_self_check_failure_exits_3(capsys, monkeypatch, h2):
+    def broken_charpoly(a):
+        raise RuntimeError("Faddeev-LeVerrier step 2 left remainder 1 on an integer matrix")
+
+    monkeypatch.setattr(linalg, "charpoly", broken_charpoly)
+    code, out = run(capsys, ["phi", "--matrix", h2])
+    assert code == 3
+    error = one_json_line(out)["error"]
+    assert "broken_charpoly" in error and "left remainder 1" in error
 
 
 def test_w0(capsys):

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieorbits import linalg
 
@@ -65,6 +68,27 @@ def test_solve_and_inverse():
         assert linalg.mat_mul(m, linalg.inverse(m)) == linalg.identity(n)
 
 
+def det(a):
+    # plain fraction Gauss with row swaps; shares no code with linalg.charpoly
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * out
+
+
 def charpoly_by_minors(m):
     # coefficient of lambda^(n-k) is (-1)^k * (sum of principal k-minors)
     n = len(m)
@@ -74,9 +98,16 @@ def charpoly_by_minors(m):
         total = Fraction(0)
         for rows in itertools.combinations(range(n), k):
             sub = [[m[i][j] for j in rows] for i in rows]
-            total += linalg.det(sub)
+            total += det(sub)
         coeffs[n - k] = (-1) ** k * total
     return coeffs
+
+
+def charpoly_by_sympy(m):
+    n = len(m)
+    sm = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
+    coeffs = sm.charpoly().all_coeffs()  # highest degree first
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
 
 
 def test_charpoly_against_principal_minors():
@@ -85,6 +116,23 @@ def test_charpoly_against_principal_minors():
         n = rng.randint(1, 4)
         m = rand_matrix(rng, n, n)
         assert linalg.charpoly(m) == charpoly_by_minors(m)
+
+
+def square_matrices(max_n):
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(square_matrices(5))
+@example([])
+@example([[Fraction(-7, 3)]])
+def test_charpoly_against_sympy_and_minors(m):
+    p = linalg.charpoly(m)
+    assert all(type(c) is Fraction for c in p)
+    assert p == charpoly_by_sympy(m) == charpoly_by_minors(m)
 
 
 def test_poly_divmod_reconstructs():

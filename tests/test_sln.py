@@ -10,9 +10,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from helpers import conjugate, rand_jordan_type, rand_nilpotent, rand_traceless, rand_unimodular
+from helpers import (
+    conjugate,
+    rand_jordan_type,
+    rand_nilpotent,
+    rand_partition,
+    rand_rational_spectrum,
+    rand_traceless,
+    rand_unimodular,
+)
 from lieorbits import linalg
+from lieorbits.orbits import partitions
 from lieorbits.sln import (
     IrrationalSpectrumError,
     SlnElement,
@@ -20,6 +30,7 @@ from lieorbits.sln import (
     basis_matrices,
     bracket,
     centralizer_dim,
+    coords_in_basis,
     invariants_phi,
     is_nilpotent,
     is_semisimple,
@@ -43,6 +54,63 @@ def E(n, i, j):
     rows = [[0] * n for _ in range(n)]
     rows[i - 1][j - 1] = 1
     return SlnElement.from_rows(rows)
+
+
+# Oracles below use their own products and basis; they share no code with the
+# fraction-free paths of ad_matrix, kks_matrix, is_nilpotent and same_orbit.
+
+
+def plain_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def plain_commutator(a, b):
+    ab, ba = plain_mul(a, b), plain_mul(b, a)
+    return [[u - v for u, v in zip(r, s)] for r, s in zip(ab, ba)]
+
+
+def plain_trace_product(a, b):
+    return sum((a[i][t] * b[t][i] for i in range(len(a)) for t in range(len(a))), Fraction(0))
+
+
+def plain_basis(n):
+    def unit(*entries):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, j, v in entries:
+            m[i][j] = Fraction(v)
+        return m
+
+    off = [unit((i, j, 1)) for i in range(n) for j in range(n) if i != j]
+    return off + [unit((k, k, 1), (k + 1, k + 1, -1)) for k in range(n - 1)]
+
+
+def rand_fraction_traceless(rng, n):
+    rows = [[Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)] for _ in range(n)]
+    rows[n - 1][n - 1] -= sum(rows[i][i] for i in range(n))
+    return SlnElement.from_rows(rows)
+
+
+def nilpotent_by_power(x):
+    a = x.to_matrix()
+    p = a
+    for _ in range(x.n - 1):
+        p = plain_mul(p, a)
+    return all(v == 0 for row in p for v in row)
+
+
+def same_orbit_by_full_ranks(x, y):
+    # sympy eigenvalues, then rank((x - lambda)^k) for every k = 1..n
+    n = x.n
+    sx, sy = (sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in z.entries]) for z in (x, y))
+    ex, ey = sx.eigenvals(), sy.eigenvals()
+    if ex != ey:
+        return False
+    for lam in ex:
+        a, b = sx - lam * sympy.eye(n), sy - lam * sympy.eye(n)
+        if any((a**k).rank() != (b**k).rank() for k in range(1, n + 1)):
+            return False
+    return True
 
 
 def test_element_validation():
@@ -92,6 +160,37 @@ def test_ad_matrix_examples():
     assert ad_matrix(SlnElement.zero(2)) == linalg.zeros(3, 3)
     # fixed basis order (E_12, E_21, diag): ad_H is diagonal with (2, -2, 0)
     assert ad_matrix(H) == [[2, 0, 0], [0, -2, 0], [0, 0, 0]]
+
+
+def test_ad_matrix_against_brackets():
+    rng = random.Random(37)
+    for n in range(1, 7):
+        basis = plain_basis(n)
+        for _ in range(4 if n < 5 else 2):
+            x = rand_fraction_traceless(rng, n)
+            ad = ad_matrix(x)
+            # the old construction: one SlnElement bracket per basis element
+            cols = [coords_in_basis(bracket(x, SlnElement.from_rows(b)).to_matrix()) for b in basis_matrices(n)]
+            assert ad == [[c[i] for c in cols] for i in range(len(cols))]
+            # column j expands [x, b_j] over the basis
+            for j, bj in enumerate(basis):
+                image = [[Fraction(0)] * n for _ in range(n)]
+                for coeff, bi in zip((row[j] for row in ad), basis):
+                    image = [[u + coeff * v for u, v in zip(r, s)] for r, s in zip(image, bi)]
+                assert image == plain_commutator(x.to_matrix(), bj)
+
+
+def test_kks_matrix_against_trace_form():
+    rng = random.Random(39)
+    for n in range(1, 6):
+        basis = plain_basis(n)
+        for _ in range(3 if n < 5 else 1):
+            x = rand_fraction_traceless(rng, n)
+            gram = []
+            for by in basis:
+                xy = plain_commutator(x.to_matrix(), by)
+                gram.append([2 * n * plain_trace_product(xy, bz) for bz in basis])
+            assert kks_matrix(x) == gram
 
 
 def test_centralizer_and_orbit_dims():
@@ -177,10 +276,10 @@ def test_phi_examples_and_invariance():
 
 def test_phi_zero_iff_nilpotent():
     rng = random.Random(61)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        x = rng.choice((rand_traceless, rand_nilpotent))(rng, n)
-        assert is_nilpotent(x) == all(c == 0 for c in invariants_phi(x))
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        x = rng.choice((rand_traceless, rand_nilpotent, rand_jordan_type, rand_rational_spectrum))(rng, n)
+        assert nilpotent_by_power(x) == is_nilpotent(x) == all(c == 0 for c in invariants_phi(x))
 
 
 def test_trace_power():
@@ -220,6 +319,49 @@ def test_same_orbit_dilation_of_nilpotent_part():
         for a in (Fraction(2), Fraction(-1), Fraction(1, 3)):
             y = jp.semisimple_part + a * jp.nilpotent_part
             assert same_orbit(x, y)
+
+
+def rand_jordan_pair(rng, n):
+    """Two conjugates of Jordan matrices with one spectrum.
+
+    Per eigenvalue, y's blocks have as many parts as x's (so rank(x - lambda)
+    agrees and only higher powers can tell them apart) or are drawn freely.
+    """
+    mults = rand_partition(rng, n).parts
+    values = rng.sample(range(-3, 4), len(mults))
+    shift = Fraction(sum(v * m for v, m in zip(values, mults)), n)
+    types_x = [rand_partition(rng, m) for m in mults]
+    types_y = []
+    for lam, m in zip(types_x, mults):
+        same_length = [q for q in partitions(m) if len(q.parts) == len(lam.parts)]
+        types_y.append(rng.choice(same_length) if rng.random() < 0.7 else rand_partition(rng, m))
+
+    def build(types):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        off = 0
+        for v, lam in zip(values, types):
+            for p in lam.parts:
+                for i in range(p):
+                    rows[off + i][off + i] = v - shift
+                    if i + 1 < p:
+                        rows[off + i][off + i + 1] = Fraction(1)
+                off += p
+        g, gi = rand_unimodular(rng, n)
+        return conjugate(g, gi, SlnElement.from_rows(rows))
+
+    return build(types_x), build(types_y)
+
+
+def test_same_orbit_against_full_rank_sequence():
+    rng = random.Random(77)
+    seen = set()
+    for i in range(60):
+        n = 2 + i % 5
+        x, y = rand_jordan_pair(rng, n)
+        want = same_orbit_by_full_ranks(x, y)
+        assert same_orbit(x, y) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_kks_examples():
