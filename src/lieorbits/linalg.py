@@ -5,13 +5,15 @@ lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances: ranks come from fraction-free (Bareiss) elimination on
 integer-scaled rows, the characteristic polynomial from Faddeev-LeVerrier on
 the integer matrix d*a (d the lcm of the denominators of a), and every
-division in the polynomial routines is exact.
+division in the polynomial routines is exact.  rref is the one Gauss-Jordan
+routine: nullspace reads its kernel basis off the free columns, and solve and
+inverse read theirs off the right block of rref([a | b]) and rref([a | I]).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 Matrix = list[list[Fraction]]
@@ -95,10 +97,9 @@ def rank(m: Matrix) -> int:
     """
     rows: list[list[int]] = []
     for row in m:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
+        # a set: unpacking a generator builds the argument tuple by
+        # resizing, which strands tuples in CPython's per-size free lists
+        den = lcm(*{x.denominator for x in row})
         srow = [int(x * den) for x in row]
         if any(srow):
             rows.append(srow)
@@ -163,39 +164,22 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
+def _solve_augmented(a: Matrix, right: Matrix) -> Matrix:
+    """Right block of rref([a | right]) for square a; raises on singular a."""
+    n = len(a)
+    red, pivots = rref([row + extra for row, extra in zip(a, right)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
 def solve(a: Matrix, b: Vector) -> Vector:
     """Solve a square nonsingular system exactly; raises on singular input."""
-    n = len(a)
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    return [row[0] for row in _solve_augmented(a, [[bv] for bv in b])]
 
 
 def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    return _solve_augmented(a, identity(len(a)))
 
 
 def charpoly(a: Matrix) -> Poly:
@@ -207,7 +191,7 @@ def charpoly(a: Matrix) -> Poly:
     d^k times that of a.
     """
     n = len(a)
-    d = lcm(*(x.denominator for row in a for x in row))
+    d = lcm(*{x.denominator for row in a for x in row})
     ai = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     coeffs = [1]  # built high degree first
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -375,10 +359,7 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         roots.append((Fraction(0), k))
     if len(q) <= 1:
         return roots, q
-    den = 1
-    for c in q:
-        d = c.denominator
-        den = den * d // gcd(den, d)
+    den = lcm(*{c.denominator for c in q})
     ip = [int(c * den) for c in q]
     cands = sorted(
         {Fraction(s * d0, dn) for d0 in _divisors(ip[0]) for dn in _divisors(ip[-1]) for s in (1, -1)}

@@ -121,10 +121,11 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
     n = lam.n
     a = jordan_matrix(lam).to_matrix()
     b = jordan_matrix(mu).to_matrix()
-    pa, pb = linalg.identity(n), linalg.identity(n)
-    for _ in range(1, n):
-        pa = linalg.mat_mul(pa, a)
-        pb = linalg.mat_mul(pb, b)
+    pa, pb = a, b
+    for k in range(1, n):
+        if k > 1:
+            pa = linalg.mat_mul(pa, a)
+            pb = linalg.mat_mul(pb, b)
         if linalg.rank(pa) > linalg.rank(pb):
             return False
     return True

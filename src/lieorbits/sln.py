@@ -49,7 +49,9 @@ class SlnElement:
 
     @classmethod
     def from_rows(cls, rows) -> "SlnElement":
-        entries = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
+        # tuples of lists: tuple() of a generator builds by resizing, which
+        # strands tuples in CPython's per-size free lists
+        entries = tuple([tuple([linalg.frac(x) for x in row]) for row in rows])
         return cls(n=len(entries), entries=entries)
 
     @classmethod

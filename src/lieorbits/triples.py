@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, solve_coroot_coords
 from .sln import SlnElement, bracket, is_nilpotent
 
 
@@ -73,12 +73,11 @@ def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
     simple roots is zero or a root.
     """
     n = rs.rank
-    a = linalg.mat_from(rs.cartan_matrix)
     try:
-        coords = linalg.solve(a, [Fraction(2)] * n)
+        coords = solve_coroot_coords(rs, [2] * n)
     except ValueError as exc:
         raise RuntimeError(f"Cartan matrix of {rs.ctype} is singular") from exc
-    h = CorootVector(tuple(coords))
+    h = CorootVector(coords)
     for i in range(1, n + 1):
         if h.evaluate(rs, i) != 2:
             raise RuntimeError("coefficient solve failed to give alpha(h) = 2")
@@ -136,45 +135,18 @@ def _standard_block_triple(sizes: list[int]) -> tuple[linalg.Matrix, linalg.Matr
     return jm, hm, fm
 
 
-class _Span:
-    """Incremental row space with exact reduction, for independence tests."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: list[Fraction]) -> list[Fraction]:
-        v = v[:]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(self.dim):
-                    v[j] -= f * row[j]
-        return v
-
-    def add(self, v: list[Fraction]) -> bool:
-        """Insert v if independent of the current span; returns whether it was."""
-        r = self.reduce(v)
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is None:
-            return False
-        inv = r[p]
-        r = [x / inv for x in r]
-        self.rows.append(r)
-        self.pivots.append(p)
-        return True
-
-
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     """Complete a nilpotent traceless matrix to an sl2-triple.
 
     Builds a Jordan chain basis from the kernel filtration of the powers of
-    e: working down from the largest chain length, each new chain top is the
-    first kernel-basis vector independent of the smaller kernel together with
-    the already-chosen chains (a deterministic choice).  The standard triple
-    for the resulting block sizes is then conjugated back through the chain
-    basis, so the bracket relations hold exactly and h has integer spectrum.
+    e.  Working down from the largest chain length k, the columns of one
+    matrix are the smaller kernel, the height-k layer of the chains already
+    chosen, and then the basis of ker(e^k); the new chain tops are the basis
+    vectors whose columns are rref pivot columns, i.e. the first ones
+    independent of everything before them (a deterministic choice).  The
+    standard triple for the resulting block sizes is then conjugated back
+    through the chain basis, so the bracket relations hold exactly and h has
+    integer spectrum.
     """
     if not is_nilpotent(e):
         raise ValueError("input must be nilpotent")
@@ -183,24 +155,17 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     if e.is_zero():
         z = SlnElement.zero(n)
         return MatrixTriple(x=e, h=z, y=z)
-    powers = [linalg.identity(n)]
+    powers = [linalg.identity(n), a]
     while not linalg.mat_is_zero(powers[-1]):
         powers.append(linalg.mat_mul(powers[-1], a))
     d = len(powers) - 1  # nilpotency index
     kernels = [[] if k == 0 else linalg.nullspace(powers[k]) for k in range(d + 1)]
     tops: list[tuple[list[Fraction], int]] = []  # (top vector, chain length)
     for k in range(d, 0, -1):
-        # fresh span per stage: the smaller kernel plus the height-k layer of
-        # the chains already chosen; candidates complete it to ker(e^k)
-        span = _Span(n)
-        for v in kernels[k - 1]:
-            span.add(v)
-        for v, size in tops:
-            if size >= k + 1:
-                span.add(linalg.mat_vec(powers[size - k], v))
-        for v in kernels[k]:
-            if span.add(v):
-                tops.append((v, k))
+        # candidates from ker(e^k) follow the known columns of this stage
+        known = kernels[k - 1] + [linalg.mat_vec(powers[size - k], v) for v, size in tops if size > k]
+        _, pivots = linalg.rref([list(row) for row in zip(*known, *kernels[k])])
+        tops.extend((kernels[k][p - len(known)], k) for p in pivots if p >= len(known))
     sizes = [s for _, s in tops]
     if sum(sizes) != n:
         raise RuntimeError("Jordan chain extraction did not exhaust the space")

@@ -103,10 +103,16 @@ def charpoly_by_minors(m):
     return coeffs
 
 
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def from_sympy(sm):
+    return [[Fraction(int(x.p), int(x.q)) for x in sm.row(i)] for i in range(sm.rows)]
+
+
 def charpoly_by_sympy(m):
-    n = len(m)
-    sm = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
-    coeffs = sm.charpoly().all_coeffs()  # highest degree first
+    coeffs = to_sympy(m).charpoly().all_coeffs()  # highest degree first
     return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
 
 
@@ -133,6 +139,50 @@ def test_charpoly_against_sympy_and_minors(m):
     p = linalg.charpoly(m)
     assert all(type(c) is Fraction for c in p)
     assert p == charpoly_by_sympy(m) == charpoly_by_minors(m)
+
+
+def systems():
+    # (m, b): an r-by-c matrix, square about half the time, and a right-hand
+    # side with r entries
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    shapes = st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), st.integers(1, 6))))
+    return shapes.flatmap(
+        lambda shape: st.tuples(
+            st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
+            st.lists(entry, min_size=shape[0], max_size=shape[0]),
+        )
+    )
+
+
+def F(*xs):
+    return [Fraction(x) for x in xs]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(systems())
+@example(([F(0, 0, 0, 0), F(0, 0, 0, 0), F(0, 0, 0, 0)], F(1, 0, 0)))  # all zero
+@example(([F(1, 2, 0, "1/3", 5), F(2, 4, 1, 0, "-1/2")], F(1, 2)))  # wide
+@example(([F(1, 2), F("1/2", 1), F(0, 3), F(-1, 0), F(4, "5/6")], F(1, 2, 3, 4, 5)))  # tall
+@example(([F(1, 2, 3), F(0, 1, "1/2"), F(1, 3, "7/2")], F(1, 1, 2)))  # singular square
+def test_rref_solve_inverse_against_sympy(system):
+    m, b = system
+    nr, nc = len(m), len(m[0])
+    sm = to_sympy(m)
+    red, pivots = linalg.rref(m)
+    sred, spivots = sm.rref()
+    assert (red, pivots) == (from_sympy(sred), list(spivots))
+    rank = sm.rank()
+    assert len(linalg.nullspace(m)) == nc - rank
+    if nr != nc:
+        return
+    if rank < nr:
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.solve(m, b)
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.inverse(m)
+        return
+    assert linalg.solve(m, b) == [row[0] for row in from_sympy(sm.LUsolve(to_sympy([[x] for x in b])))]
+    assert linalg.inverse(m) == from_sympy(sm.inv())
 
 
 def test_poly_divmod_reconstructs():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import lieorbits
@@ -11,3 +12,21 @@ def test_no_assert_in_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_tracer_targets_exist():
+    # the traced benchmark run wraps these names; a deleted one should fail
+    # here rather than crash that run
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    names = [(mod, fn) for mod, fns in targets.items() for fn in fns]
+    assert len(names) == 40
+    missing = [
+        f"{mod}.{fn}" for mod, fn in names if not callable(getattr(importlib.import_module(f"lieorbits.{mod}"), fn, None))
+    ]
+    assert missing == []

@@ -1,13 +1,16 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import rand_nilpotent
+from helpers import conjugate, rand_nilpotent, rand_unimodular
 from lieorbits import linalg
+from lieorbits.orbits import jordan_matrix, partitions
 from lieorbits.rootsys import CartanType, build_root_system
-from lieorbits.sln import SlnElement, ad_matrix, centralizer_dim, orbit_dim
+from lieorbits.sln import SlnElement, ad_matrix, centralizer_dim, matrix_to_json, orbit_dim
 from lieorbits.triples import (
     MatrixTriple,
     jacobson_morozov_sln,
@@ -163,3 +166,28 @@ def test_jm_top_weights_match_string_peeling():
                 kernel_weights[m] = dim - linalg.rank(stacked)
             assert kernel_weights == tops
             assert sum(tops.values()) == dim - linalg.rank(ad_e)
+
+
+def repeated_top_nilpotents():
+    # 30 seeded conjugates of Jordan forms whose largest block size repeats,
+    # e.g. 2+2+1 or 3+3+2, where the chain-top choice has the most freedom
+    rng = random.Random(97)
+    out = []
+    for k in range(30):
+        n = 2 + k % 7
+        pool = [p for p in partitions(n) if len(p.parts) > 1 and p.parts[0] == p.parts[1] > 1]
+        lam = rng.choice(pool) if pool and rng.random() < 0.7 else rng.choice(partitions(n))
+        g, gi = rand_unimodular(rng, n, 3 * n)
+        out.append(conjugate(g, gi, jordan_matrix(lam)))
+    return out
+
+
+def test_jacobson_morozov_chain_basis_pinned():
+    # the triples are fixed by the deterministic chain-top choice; the digest
+    # pins them byte for byte
+    digest = hashlib.sha256()
+    for e in repeated_top_nilpotents():
+        t = jacobson_morozov_sln(e)
+        assert verify_matrix_triple(t)
+        digest.update(json.dumps([matrix_to_json(m) for m in (t.x, t.h, t.y)]).encode())
+    assert digest.hexdigest() == "3699426110738b4fdf10645e9c1a4625af0a8c2a206aab94651edef7dac2e79d"
