@@ -160,7 +160,8 @@ def _cmd_phi(args):
 
 def _cmd_orbit_dim(args):
     x = _load_matrix(args.matrix)
-    return {"n": x.n, "orbit_dim": sln.orbit_dim(x), "centralizer_dim": sln.centralizer_dim(x)}
+    cent = sln.centralizer_dim(x)
+    return {"n": x.n, "orbit_dim": x.n * x.n - 1 - cent, "centralizer_dim": cent}
 
 
 def _cmd_same_orbit(args):

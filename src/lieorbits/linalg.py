@@ -8,6 +8,9 @@ the integer matrix d*a (d the lcm of the denominators of a), and every
 division in the polynomial routines is exact.  rref is the one Gauss-Jordan
 routine: nullspace reads its kernel basis off the free columns, and solve and
 inverse read theirs off the right block of rref([a | b]) and rref([a | I]).
+The invariant factors come from a Krylov basis of d*a, found with rank and
+solved for its relations with one rref, and the Smith form of those
+relations over Q[t]; rank and rref stay the only eliminations over Q.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
 
 
 def mat_trace(a: Matrix) -> Fraction:
@@ -207,6 +203,107 @@ def charpoly(a: Matrix) -> Poly:
             raise RuntimeError(f"Faddeev-LeVerrier step {k} left remainder {rem} on an integer matrix")
         coeffs.append(c)
     return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
+
+
+def invariant_factors(a: Matrix) -> list[Poly]:
+    """The monic non-unit invariant factors f_1 | ... | f_k of a, smallest first.
+
+    Works on the integer matrix A = d*a (d the lcm of the denominators of
+    a).  A Krylov basis is built block by block from e_1, e_2, ...: each
+    block v, Av, A^2 v, ... stops at its first power that rank shows to
+    depend on the basis so far.  One rref([K | tails]) writes every block's
+    tail A^m_j v_j over the basis, which gives the relation
+    g_j(A) v_j = sum_(l<j) h_lj(A) v_l; the Smith form of the relation matrix
+    over Q[t] has A's invariant factors on its diagonal, and f(t) of A maps
+    back to f(d t)/d^deg(f) for a.  Raises RuntimeError unless the degrees
+    sum to n and the product equals charpoly(a).
+    """
+    n = len(a)
+    d = lcm(*{x.denominator for row in a for x in row})
+    ai = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    basis: list[list[int]] = []  # Krylov vectors A^i v_j, block after block
+    sizes: list[int] = []
+    tails: list[list[int]] = []
+    for j in range(n):
+        if len(basis) == n:
+            break
+        v = [int(i == j) for i in range(n)]
+        if rank(basis + [v]) == len(basis):
+            continue
+        start = len(basis)
+        while True:
+            basis.append(v)
+            v = [sum(map(mul, row, v)) for row in ai]
+            if rank(basis + [v]) == len(basis):
+                break
+        sizes.append(len(basis) - start)
+        tails.append(v)
+    red, _ = rref([[Fraction(x) for x in row] for row in zip(*basis, *tails)])
+    offsets = [sum(sizes[:j]) for j in range(len(sizes))]
+    relations = []
+    for j in range(len(sizes)):
+        coords = [-row[n + j] for row in red]
+        rel = [coords[off : off + s] for off, s in zip(offsets, sizes)]
+        rel[j].append(Fraction(1))
+        relations.append([poly_trim(p) for p in rel])
+    factors = [[c / d ** (len(f) - 1 - i) for i, c in enumerate(f)] for f in _smith_diagonal(relations) if len(f) > 1]
+    product = [Fraction(1)]
+    for f in factors:
+        product = poly_mul(product, f)
+    if sum(len(f) - 1 for f in factors) != n or product != charpoly(a):
+        raise RuntimeError("invariant factors disagree with the characteristic polynomial")
+    return factors
+
+
+def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
+    """Monic diagonal of the Smith form of a square nonsingular matrix over Q[t], in divisibility order.
+
+    Diagonalizes first: at each step an entry of least degree becomes the
+    pivot, made monic, and its row and column are reduced by division until
+    every remainder is zero.  Among pivots of one degree the one with the
+    fewest coefficient bits wins, since a large pivot inflates every row it
+    reduces.  Then each pair of diagonal entries (a, b) becomes
+    (gcd(a, b), ab/gcd(a, b)), which leaves a divisibility chain.
+    """
+    m = [row[:] for row in m]
+    k = len(m)
+    s = 0
+    while s < k:
+        _, _, i, j = min(
+            (len(m[i][j]), _bits(m[i][j]), i, j) for i in range(s, k) for j in range(s, k) if m[i][j]
+        )
+        m[s], m[i] = m[i], m[s]
+        for row in m[s:]:
+            row[s], row[j] = row[j], row[s]
+        lead = m[s][s][-1]
+        m[s][s:] = [[c / lead for c in p] for p in m[s][s:]]
+        piv = m[s][s]
+        clean = True
+        for row in m[s + 1 :]:
+            if row[s]:
+                q, r = poly_divmod(row[s], piv)
+                row[s:] = [poly_sub(x, poly_mul(q, y)) if y else x for x, y in zip(row[s:], m[s][s:])]
+                clean = clean and not r
+        for j in range(s + 1, k):
+            if m[s][j]:
+                q, r = poly_divmod(m[s][j], piv)
+                for row in m[s:]:
+                    if row[s]:
+                        row[j] = poly_sub(row[j], poly_mul(q, row[s]))
+                clean = clean and not r
+        if clean:
+            s += 1
+    diag = [m[s][s] for s in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if len(diag[i]) > 1:
+                g = poly_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, poly_mul(poly_divmod(diag[i], g)[0], diag[j])
+    return diag
+
+
+def _bits(p: Poly) -> int:
+    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The adjoint operator is built from the entries of x, with no matrix products:
 [x, E_ij] is column i of x placed in column j minus row j of x placed in row
 i, and [x, E_ii - E_(i+1)(i+1)] is the difference of two such matrices.  The
 orbit pairing reads its Gram matrix off the same images through the trace
-form.
+form.  Centralizer and orbit dimensions never build ad(x): they are a closed
+form in the degrees of the invariant factors of x, and the traces of powers
+of ad(x) a closed form in the traces of powers of x.
 """
 
 from __future__ import annotations
@@ -182,9 +184,14 @@ def ad_matrix(x: SlnElement) -> Matrix:
 
 
 def centralizer_dim(x: SlnElement) -> int:
-    """Dimension of the commutant {y : [x,y] = 0}, by exact nullity of ad."""
-    dim = x.n * x.n - 1
-    return dim - linalg.rank(ad_matrix(x))
+    """Dimension of the commutant {y : [x,y] = 0}, from the invariant factors of x.
+
+    With g_1, g_2, ... the invariant factors of x, largest first, the
+    centralizer in gl_n has dimension sum_(i,j) deg gcd(g_i, g_j) =
+    sum_i (2i-1) deg g_i (Frobenius); the scalars leave one dimension.
+    """
+    factors = linalg.invariant_factors(x.to_matrix())
+    return sum((2 * i + 1) * linalg.poly_deg(g) for i, g in enumerate(reversed(factors))) - 1
 
 
 def orbit_dim(x: SlnElement) -> int:
@@ -258,11 +265,21 @@ def invariants_phi(x: SlnElement) -> tuple[Fraction, ...]:
 
 
 def trace_power(x: SlnElement, k: int) -> Fraction:
-    """Trace of the k-th power of the adjoint operator of x."""
+    """Trace of the k-th power of the adjoint operator of x.
+
+    On gl_n, ad(x) = x (x) 1 - 1 (x) x^T and the scalars lie in its kernel, so
+    tr(ad(x)^k) = sum_m (-1)^m C(k,m) tr(x^(k-m)) tr(x^m), with tr(x^0) = n.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    ad = ad_matrix(x)
-    return linalg.mat_trace(linalg.mat_pow(ad, k))
+    a = x.to_matrix()
+    traces = [Fraction(x.n)]
+    power = a
+    for m in range(1, k + 1):
+        if m > 1:
+            power = linalg.mat_mul(power, a)
+        traces.append(linalg.mat_trace(power))
+    return sum(((-1) ** m * math.comb(k, m) * traces[k - m] * traces[m] for m in range(k + 1)), Fraction(0))
 
 
 def rational_eigenvalues(x: SlnElement) -> dict[Fraction, int]:

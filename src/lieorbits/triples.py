@@ -118,21 +118,27 @@ def principal_triple_sln(n: int) -> MatrixTriple:
     return t
 
 
-def _standard_block_triple(sizes: list[int]) -> tuple[linalg.Matrix, linalg.Matrix, linalg.Matrix]:
-    """Block-diagonal (J, H, F) with one standard string per block size."""
-    n = sum(sizes)
-    jm = linalg.zeros(n, n)
-    hm = linalg.zeros(n, n)
-    fm = linalg.zeros(n, n)
+def _standard_block_images(g: linalg.Matrix, sizes: list[int]) -> tuple[linalg.Matrix, linalg.Matrix, linalg.Matrix]:
+    """g*J, g*H and g*F for the block-diagonal standard triple (J, H, F) with one string per block size.
+
+    J has ones on the superdiagonal of each block, H the weights s-1-2i on the
+    diagonal and F the weights (i+1)(s-i-1) below it, so the products are
+    column shifts and scalings of g and need no multiplication of matrices.
+    """
+    n = len(g)
+    gj, gh, gf = linalg.zeros(n, n), linalg.zeros(n, n), linalg.zeros(n, n)
     off = 0
     for s in sizes:
-        for i in range(s - 1):
-            jm[off + i][off + i + 1] = Fraction(1)
-            fm[off + i + 1][off + i] = Fraction((i + 1) * (s - i - 1))
         for i in range(s):
-            hm[off + i][off + i] = Fraction(s - 1 - 2 * i)
+            c = off + i
+            for r in range(n):
+                gh[r][c] = (s - 1 - 2 * i) * g[r][c]
+                if i > 0:
+                    gj[r][c] = g[r][c - 1]
+                if i + 1 < s:
+                    gf[r][c] = (i + 1) * (s - i - 1) * g[r][c + 1]
         off += s
-    return jm, hm, fm
+    return gj, gh, gf
 
 
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
@@ -145,8 +151,9 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     vectors whose columns are rref pivot columns, i.e. the first ones
     independent of everything before them (a deterministic choice).  The
     standard triple for the resulting block sizes is then conjugated back
-    through the chain basis, so the bracket relations hold exactly and h has
-    integer spectrum.
+    through the chain basis g, so the bracket relations hold exactly and h has
+    integer spectrum; g times a standard matrix is a column shift or scaling
+    of g, which leaves three products of matrices.
     """
     if not is_nilpotent(e):
         raise ValueError("input must be nilpotent")
@@ -174,12 +181,13 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
         for j in range(s - 1, -1, -1):
             cols.append(linalg.mat_vec(powers[j], v))
     g = [[cols[j][i] for j in range(n)] for i in range(n)]
-    ginv = linalg.inverse(g)
-    jm, hm, fm = _standard_block_triple(sizes)
-    if linalg.mat_mul(g, linalg.mat_mul(jm, ginv)) != a:
+    gj, gh, gf = _standard_block_images(g, sizes)
+    # g is invertible, so e*g == g*J is the same as e == g*J*g^-1
+    if linalg.mat_mul(a, g) != gj:
         raise RuntimeError("chain basis does not conjugate the standard form to e")
-    h = SlnElement.from_rows(linalg.mat_mul(g, linalg.mat_mul(hm, ginv)))
-    f = SlnElement.from_rows(linalg.mat_mul(g, linalg.mat_mul(fm, ginv)))
+    ginv = linalg.inverse(g)
+    h = SlnElement.from_rows(linalg.mat_mul(gh, ginv))
+    f = SlnElement.from_rows(linalg.mat_mul(gf, ginv))
     t = MatrixTriple(x=e, h=h, y=f)
     if not verify_matrix_triple(t):
         raise RuntimeError("constructed triple violated the bracket relations")

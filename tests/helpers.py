@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from lieorbits import linalg
 from lieorbits.orbits import Partition, jordan_matrix, partitions
-from lieorbits.sln import SlnElement
+from lieorbits.sln import SlnElement, ad_matrix
 
 
 def rand_traceless(rng: random.Random, n: int, bound: int = 4) -> SlnElement:
@@ -37,6 +37,11 @@ def rand_unimodular(rng: random.Random, n: int, shears: int | None = None):
         g = linalg.mat_mul(g, e)
         gi = linalg.mat_mul(einv, gi)
     return g, gi
+
+
+def ad_nullity(x: SlnElement) -> int:
+    """dim of the centralizer as the nullity of the (n^2-1)-square ad(x): the slow oracle."""
+    return (x.n * x.n - 1) - linalg.rank(ad_matrix(x))
 
 
 def conjugate(g, gi, x: SlnElement) -> SlnElement:

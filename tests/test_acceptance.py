@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from helpers import rand_jordan_type, rand_nilpotent, rand_traceless
+from helpers import ad_nullity, rand_jordan_type, rand_nilpotent, rand_traceless
 from lieorbits import linalg
 from lieorbits.cli import main as cli_main
 from lieorbits.minorbit import min_orbit_report
@@ -159,7 +159,7 @@ def test_criterion_06_dimension_oracle():
     with criterion(6, "partition dimensions equal the ad-nullity oracle for n <= 6"):
         for n in range(1, 7):
             for lam in partitions(n):
-                oracle = (n * n - 1) - centralizer_dim(jordan_matrix(lam))
+                oracle = (n * n - 1) - ad_nullity(jordan_matrix(lam))
                 assert orbit_dim_partition(lam) == oracle
         for n in range(2, 7):
             assert orbit_dim_partition(regular_orbit(n)) == n * n - n

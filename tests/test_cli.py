@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,15 @@ def test_self_check_failure_exits_3(capsys, monkeypatch, h2):
     assert code == 3
     error = one_json_line(out)["error"]
     assert "broken_charpoly" in error and "left remainder 1" in error
+
+
+def test_invariant_factor_check_exits_3(capsys, monkeypatch, x2):
+    # a characteristic polynomial that disagrees with the Krylov factors
+    monkeypatch.setattr(linalg, "charpoly", lambda a: [Fraction(1)] * (len(a) + 1))
+    code, out = run(capsys, ["orbit-dim", "--matrix", x2])
+    assert code == 3
+    error = one_json_line(out)["error"]
+    assert "linalg.invariant_factors" in error and "characteristic polynomial" in error
 
 
 def test_w0(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import ad_nullity, conjugate, rand_partition, rand_unimodular
 from lieorbits.orbits import (
     OrbitPoset,
     Partition,
@@ -18,7 +19,7 @@ from lieorbits.orbits import (
     regular_orbit,
     transpose,
 )
-from lieorbits.sln import orbit_dim
+from lieorbits.sln import centralizer_dim, orbit_dim
 
 
 def test_partition_validation():
@@ -101,7 +102,19 @@ def test_orbit_dim_partition_examples():
 def test_orbit_dim_against_ad_nullity_oracle():
     for n in range(1, 7):
         for p in partitions(n):
-            assert orbit_dim_partition(p) == orbit_dim(jordan_matrix(p))
+            x = jordan_matrix(p)
+            assert orbit_dim_partition(p) == orbit_dim(x) == (n * n - 1) - ad_nullity(x)
+
+
+def test_orbit_dim_reaches_n20():
+    # the ad(x) rank of the oracle is O(n^6) and does not reach these sizes
+    rng = random.Random(83)
+    for n in (16, 20):
+        for p in [regular_orbit(n), minimal_orbit(n)] + [rand_partition(rng, n) for _ in range(2)]:
+            g, gi = rand_unimodular(rng, n)
+            x = conjugate(g, gi, jordan_matrix(p))
+            assert orbit_dim(x) == orbit_dim_partition(p)
+            assert centralizer_dim(x) == (n * n - 1) - orbit_dim_partition(p)
 
 
 def test_closure_rank_oracle_examples():

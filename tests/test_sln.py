@@ -11,8 +11,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from helpers import (
+    ad_nullity,
     conjugate,
     rand_jordan_type,
     rand_nilpotent,
@@ -292,6 +296,120 @@ def test_trace_power():
             assert trace_power(x, k) == 0
     with pytest.raises(ValueError):
         trace_power(H, 0)
+
+
+def test_trace_power_against_powers_of_ad():
+    rng = random.Random(69)
+    for n in range(1, 5):
+        for _ in range(3):
+            x = rand_fraction_traceless(rng, n)
+            ad = ad_matrix(x)
+            power = ad
+            for k in range(1, 5):
+                if k > 1:
+                    power = plain_mul(power, ad)
+                assert trace_power(x, k) == sum((power[i][i] for i in range(len(ad))), Fraction(0))
+
+
+# Monic integer polynomials, lowest degree first, whose companion blocks have
+# irrational spectra: t^2 - 2, t^2 + 1 and t^3 - 2.
+IRRATIONAL = ((-2, 0, 1), (1, 0, 1), (-2, 0, 0, 1))
+
+
+def companion(p):
+    m = len(p) - 1
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        if i:
+            rows[i][i - 1] = Fraction(1)
+        rows[i][m - 1] = Fraction(-p[i])
+    return rows
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[off + i][off : off + len(b)] = row
+        off += len(b)
+    return rows
+
+
+def make_block(kind, arg):
+    """A Jordan block (eigenvalue, size), a companion block, or two companion
+    blocks of p coupled by the identity, whose only invariant factor is p^2."""
+    if kind == "jordan":
+        lam, size = arg
+        return [[Fraction(lam if i == j else int(j == i + 1)) for j in range(size)] for i in range(size)]
+    c = companion(arg)
+    if kind == "companion":
+        return c
+    m = len(c)
+    top = [row + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(c)]
+    return top + [[Fraction(0)] * m + row for row in c]
+
+
+def structured_matrix(blocks, shears):
+    """Block-diagonal matrix of the given blocks, conjugated by integer shears, made traceless."""
+    rows = block_diagonal([make_block(kind, arg) for kind, arg in blocks])
+    n = len(rows)
+    for i, j, c in shears:
+        if i < n and j < n and i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    shift = sum(rows[i][i] for i in range(n)) / n
+    for i in range(n):
+        rows[i][i] -= shift
+    return rows
+
+
+@st.composite
+def matrices_with_structure(draw):
+    block = st.one_of(
+        st.tuples(st.just("jordan"), st.tuples(st.integers(-2, 2), st.integers(1, 3))),
+        st.tuples(st.sampled_from(["companion", "coupled"]), st.sampled_from(IRRATIONAL)),
+    )
+    blocks, size = [], 0
+    for kind, arg in draw(st.lists(block, min_size=1, max_size=4)):
+        width = len(make_block(kind, arg))
+        if size + width <= 7:
+            blocks.append((kind, arg))
+            size += width
+    shear = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([-2, -1, 1, 2]))
+    return structured_matrix(blocks, draw(st.lists(shear, max_size=10)))
+
+
+def invariant_factors_by_sympy(m):
+    t = sympy.Symbol("t")
+    n = len(m)
+    sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+    out = []
+    for f in sympy_invariant_factors(t * sympy.eye(n) - sm, domain=sympy.QQ[t]):
+        p = sympy.Poly(f, t)
+        if p.degree() > 0:
+            out.append([Fraction(int(c.p), int(c.q)) for c in reversed(p.monic().all_coeffs())])
+    return out
+
+
+SHEARS = [(0, 1, 1), (2, 0, -1), (1, 3, 2), (3, 2, 1), (4, 1, -2)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(matrices_with_structure())
+@example(structured_matrix([("companion", IRRATIONAL[0]), ("companion", IRRATIONAL[0])], SHEARS))
+@example(structured_matrix([("coupled", IRRATIONAL[1]), ("companion", IRRATIONAL[1])], SHEARS))
+@example(structured_matrix([("companion", IRRATIONAL[2]), ("coupled", IRRATIONAL[0])], SHEARS))
+@example(structured_matrix([("companion", IRRATIONAL[2]), ("jordan", (1, 2)), ("jordan", (1, 1))], SHEARS))
+@example(structured_matrix([("jordan", (0, 1))], []))
+def test_invariant_factors_against_sympy_and_ad_nullity(m):
+    factors = linalg.invariant_factors(m)
+    assert factors == invariant_factors_by_sympy(m)
+    assert all(type(c) is Fraction for f in factors for c in f)
+    x = SlnElement.from_rows(m)
+    assert centralizer_dim(x) == ad_nullity(x)
 
 
 def test_same_orbit_examples():

@@ -30,3 +30,24 @@ def test_tracer_targets_exist():
         f"{mod}.{fn}" for mod, fn in names if not callable(getattr(importlib.import_module(f"lieorbits.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+
+
+def test_linalg_has_no_dead_kernels():
+    # every public def in linalg is referenced in the package outside its own body
+    src = Path(lieorbits.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.rglob("*.py"))}
+    refs = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    dead = []
+    for d in trees["linalg.py"].body:
+        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+            inside = {id(node) for node in ast.walk(d)}
+            if not any(name == d.name and id(node) not in inside for node, name in refs):
+                dead.append(d.name)
+    assert dead == []
