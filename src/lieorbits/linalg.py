@@ -2,15 +2,15 @@
 
 Matrices are lists of rows of Fraction entries; polynomials are coefficient
 lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
-floats or tolerances: ranks come from fraction-free (Bareiss) elimination on
-integer-scaled rows, the characteristic polynomial from Faddeev-LeVerrier on
-the integer matrix d*a (d the lcm of the denominators of a), and every
-division in the polynomial routines is exact.  rref is the one Gauss-Jordan
-routine: nullspace reads its kernel basis off the free columns, and solve and
-inverse read theirs off the right block of rref([a | b]) and rref([a | I]).
-The invariant factors come from a Krylov basis of d*a, found with rank and
-solved for its relations with one rref, and the Smith form of those
-relations over Q[t]; rank and rref stay the only eliminations over Q.
+floats or tolerances.  One fraction-free Gauss-Jordan pass is the only
+elimination: rank counts its pivots, rref divides its integer rows by the last
+pivot (int input gives Fraction output too), and nullspace, solve and inverse
+read their answers off rref.  charpoly and invariant_factors work on the
+integer matrix d*a, d the lcm of the denominators of a: Faddeev-LeVerrier for
+the first; for the second a Krylov basis, its relations from one rref and
+their Smith form over Q[t].  Every division in the polynomial routines is
+exact, and rational_roots bisects with a Sturm chain, in a number of steps
+bounded by the bit length of the coefficients.
 """
 
 from __future__ import annotations
@@ -85,64 +85,57 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def rank(m: Matrix) -> int:
-    """Rank by Bareiss fraction-free elimination.
+def _integer_scaled(a) -> tuple[int, list[list[int]]]:
+    """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix."""
+    # a set: unpacking a generator builds the argument tuple by resizing,
+    # which strands tuples in CPython's per-size free lists
+    d = lcm(*{x.denominator for row in a for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
-    Rows are first scaled to integers (rank-preserving), so all intermediate
-    divisions are exact integer divisions by the previous pivot.
+
+def _gauss_jordan(m) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination: Bareiss's update on every row.
+
+    Rows are first scaled to integers, which changes neither rank nor rref.
+    At each pivot p every other row becomes (p*row - f*top) // prev, prev the
+    pivot before, and each division is exact (Sylvester's identity).  Returns
+    the integer rows, the pivot columns and the last pivot, which every pivot
+    entry then equals; the rows below the pivot rows are zero.
     """
-    rows: list[list[int]] = []
-    for row in m:
-        # a set: unpacking a generator builds the argument tuple by
-        # resizing, which strands tuples in CPython's per-size free lists
-        den = lcm(*{x.denominator for x in row})
-        srow = [int(x * den) for x in row]
-        if any(srow):
-            rows.append(srow)
-    if not rows:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    r = 0
+    rows = [_integer_scaled([row])[1][0] for row in m]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots: list[int] = []
     prev = 1
     for c in range(nc):
+        r = len(pivots)
         if r == nr:
             break
         piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-    return r
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f or p != prev:
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, prev
+
+
+def rank(m: Matrix) -> int:
+    """Rank: the number of pivots of the fraction-free Gauss-Jordan pass."""
+    return len(_gauss_jordan(m)[1])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [row[:] for row in m]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+    rows, pivots, p = _gauss_jordan(m)
+    return [[Fraction(x, p) for x in row] for row in rows], pivots
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -187,8 +180,7 @@ def charpoly(a: Matrix) -> Poly:
     d^k times that of a.
     """
     n = len(a)
-    d = lcm(*{x.denominator for row in a for x in row})
-    ai = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    d, ai = _integer_scaled(a)
     coeffs = [1]  # built high degree first
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -219,8 +211,7 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     sum to n and the product equals charpoly(a).
     """
     n = len(a)
-    d = lcm(*{x.denominator for row in a for x in row})
-    ai = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    d, ai = _integer_scaled(a)
     basis: list[list[int]] = []  # Krylov vectors A^i v_j, block after block
     sizes: list[int] = []
     tails: list[list[int]] = []
@@ -238,7 +229,7 @@ def invariant_factors(a: Matrix) -> list[Poly]:
                 break
         sizes.append(len(basis) - start)
         tails.append(v)
-    red, _ = rref([[Fraction(x) for x in row] for row in zip(*basis, *tails)])
+    red, _ = rref(list(zip(*basis, *tails)))
     offsets = [sum(sizes[:j]) for j in range(len(sizes))]
     relations = []
     for j in range(len(sizes)):
@@ -399,9 +390,9 @@ def poly_deriv(p: Poly) -> Poly:
     return poly_trim([i * p[i] for i in range(1, len(p))])
 
 
-def poly_eval(p: Poly, x) -> Fraction:
-    x = frac(x)
-    out = Fraction(0)
+def poly_eval(p: Poly, x):
+    """p(x) by Horner's rule, in the ring of x and the coefficients of p."""
+    out = 0
     for c in reversed(p):
         out = out * x + c
     return out
@@ -425,43 +416,27 @@ def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """All rational roots of p with multiplicities, and the root-free cofactor.
 
-    Candidates come from the rational root theorem applied to the
-    integer-scaled polynomial; deflation preserves the candidate set.
+    With p scaled to integers a_n t^n + ... + a_0, each rational root is y/a_n
+    for an integer root y of the monic integer a_n^(n-1) p(y/a_n), and the
+    candidates y come from Sturm-chain bisection.
     """
     q = poly_trim(list(p))
     if not q:
         raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
-    k = 0
-    while q[0] == 0:
-        q = q[1:]
-        k += 1
+    k = next(i for i, c in enumerate(q) if c)
+    q = q[k:]
     if k:
         roots.append((Fraction(0), k))
     if len(q) <= 1:
         return roots, q
-    den = lcm(*{c.denominator for c in q})
-    ip = [int(c * den) for c in q]
-    cands = sorted(
-        {Fraction(s * d0, dn) for d0 in _divisors(ip[0]) for dn in _divisors(ip[-1]) for s in (1, -1)}
-    )
-    for r in cands:
+    ip = _integer_scaled([q])[1][0]
+    n, lead = len(ip) - 1, ip[-1]
+    monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ip[:-1])] + [Fraction(1)]
+    for r in sorted([Fraction(y, lead) for y in _unit_intervals_with_roots(monic)]):
         mult = 0
         while len(q) > 1 and poly_eval(q, r) == 0:
             q = poly_divmod(q, [-r, Fraction(1)])[0]
@@ -469,3 +444,34 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         if mult:
             roots.append((r, mult))
     return roots, q
+
+
+def _unit_intervals_with_roots(p: Poly) -> list[int]:
+    """The integers y with a real root of the monic integer p in (y - 1, y].
+
+    Sturm: on the chain of the squarefree part of p, the drop in sign
+    variations from a to b counts the distinct roots in (a, b].  Halving from
+    the Cauchy bound 1 + max |coefficient| takes O(coefficient bits) steps per root.
+    """
+    chain = [poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]]
+    chain.append(poly_deriv(chain[0]))
+    while chain[-1]:
+        chain.append([-c for c in poly_mod(chain[-2], chain[-1])])
+    chain = _integer_scaled(chain[:-1])[1]  # a positive scaling keeps every sign
+
+    def variations(y: int) -> int:
+        signs = [v > 0 for v in [poly_eval(f, y) for f in chain] if v]
+        return sum([a != b for a, b in zip(signs, signs[1:])])
+
+    bound = 1 + max([abs(c.numerator) for c in p])
+    found = []
+    stack = [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo > vhi and hi - lo == 1:
+            found.append(hi)
+        elif vlo > vhi:
+            mid = (lo + hi) // 2
+            vmid = variations(mid)
+            stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+    return found

@@ -19,7 +19,6 @@ from .rootsys import (
     Root,
     RootSystem,
     build_root_system,
-    coroot_pairing,
     inner_product,
     maximal_root,
     parabolic_data,
@@ -43,8 +42,10 @@ def min_orbit_report(rs: RootSystem) -> MinOrbitReport:
     pi_theta = frozenset(
         i for i in range(1, rs.rank + 1) if inner_product(rs, unit(i), theta.coeffs) == 0
     )
+    # <theta, alpha_i^vee> = sum_j theta_j a_ji, from the Cartan matrix without the symmetrizer
+    a = rs.cartan_matrix
     pairing_route = frozenset(
-        i for i in range(1, rs.rank + 1) if coroot_pairing(rs, i, theta.coeffs) == 0
+        i for i in range(1, rs.rank + 1) if sum([c * a[j][i - 1] for j, c in enumerate(theta.coeffs)]) == 0
     )
     if pi_theta != pairing_route:
         raise RuntimeError("orthogonality must not depend on the normalization of the form")

@@ -323,14 +323,6 @@ def longest_element(rs: RootSystem) -> ReducedWord:
     return ReducedWord(tuple(letters))
 
 
-def apply_word(rs: RootSystem, word: ReducedWord, v) -> RatVector:
-    """Apply a reflection word to a rational vector, letters left to right."""
-    out = tuple(Fraction(x) for x in v)
-    for i in word.letters:
-        out = reflect(rs, i, out)
-    return out
-
-
 def apply_word_root(rs: RootSystem, word: ReducedWord, r: Root) -> Root:
     coeffs = r.coeffs
     for i in word.letters:

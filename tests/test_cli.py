@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,24 @@ def test_same_orbit(capsys, tmp_path, h2):
     irr = write_matrix(tmp_path, "irr.json", 2, [["0", "2"], ["1", "0"]])
     code, out = run(capsys, ["same-orbit", "--matrix", irr, "--other", h2])
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_same_orbit_with_huge_eigenvalues_is_bounded(capsys, tmp_path):
+    # t^2 - 10^24: a divisor scan up to sqrt(10^24) would take 10^12 steps
+    big = write_matrix(tmp_path, "big.json", 2, [["1000000000000", "0"], ["0", "-1000000000000"]])
+    swap = write_matrix(tmp_path, "swap.json", 2, [["-1000000000000", "0"], ["0", "1000000000000"]])
+
+    def too_slow(signum, frame):
+        raise TimeoutError("same-orbit took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out = run(capsys, ["same-orbit", "--matrix", big, "--other", swap])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and json.loads(out) == {"same_orbit": True}
 
 
 def test_triple(capsys):

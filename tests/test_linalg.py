@@ -143,15 +143,17 @@ def test_charpoly_against_sympy_and_minors(m):
 
 def systems():
     # (m, b): an r-by-c matrix, square about half the time, and a right-hand
-    # side with r entries
-    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    # side with r entries; Fraction entries, or plain ints part of the time
+    entries = st.sampled_from([st.fractions(min_value=-6, max_value=6, max_denominator=6), st.integers(-6, 6)])
     shapes = st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), st.integers(1, 6))))
-    return shapes.flatmap(
-        lambda shape: st.tuples(
-            st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
-            st.lists(entry, min_size=shape[0], max_size=shape[0]),
+
+    def system(entry, r, c):
+        return st.tuples(
+            st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r),
+            st.lists(entry, min_size=r, max_size=r),
         )
-    )
+
+    return st.tuples(entries, shapes).flatmap(lambda es: system(es[0], *es[1]))
 
 
 def F(*xs):
@@ -164,6 +166,9 @@ def F(*xs):
 @example(([F(1, 2, 0, "1/3", 5), F(2, 4, 1, 0, "-1/2")], F(1, 2)))  # wide
 @example(([F(1, 2), F("1/2", 1), F(0, 3), F(-1, 0), F(4, "5/6")], F(1, 2, 3, 4, 5)))  # tall
 @example(([F(1, 2, 3), F(0, 1, "1/2"), F(1, 3, "7/2")], F(1, 1, 2)))  # singular square
+@example(([[3]], [1]))  # int input
+# J_(4,2)^2, a power of a Jordan 0/1 matrix as closure_leq_rank ranks it
+@example(([F(0, 0, 1, 0, 0, 0), F(0, 0, 0, 1, 0, 0)] + [F(0, 0, 0, 0, 0, 0)] * 4, F(1, 0, 0, 0, 0, 0)))
 def test_rref_solve_inverse_against_sympy(system):
     m, b = system
     nr, nc = len(m), len(m[0])
@@ -172,7 +177,10 @@ def test_rref_solve_inverse_against_sympy(system):
     sred, spivots = sm.rref()
     assert (red, pivots) == (from_sympy(sred), list(spivots))
     rank = sm.rank()
-    assert len(linalg.nullspace(m)) == nc - rank
+    assert linalg.rank(m) == rank
+    kernel = linalg.nullspace(m)
+    assert len(kernel) == nc - rank
+    assert all(type(x) is Fraction for row in red + kernel for x in row)
     if nr != nc:
         return
     if rank < nr:
@@ -181,8 +189,10 @@ def test_rref_solve_inverse_against_sympy(system):
         with pytest.raises(ValueError, match="singular matrix"):
             linalg.inverse(m)
         return
-    assert linalg.solve(m, b) == [row[0] for row in from_sympy(sm.LUsolve(to_sympy([[x] for x in b])))]
-    assert linalg.inverse(m) == from_sympy(sm.inv())
+    sol, inv = linalg.solve(m, b), linalg.inverse(m)
+    assert sol == [row[0] for row in from_sympy(sm.LUsolve(to_sympy([[x] for x in b])))]
+    assert inv == from_sympy(sm.inv())
+    assert all(type(x) is Fraction for row in [sol] + inv for x in row)
 
 
 def test_poly_divmod_reconstructs():
@@ -227,6 +237,40 @@ def test_rational_roots_recovers_constructed_spectrum():
     # x^2 - 2 has no rational roots
     found, rest = linalg.rational_roots([Fraction(-2), Fraction(0), Fraction(1)])
     assert found == [] and linalg.poly_deg(rest) == 2
+
+
+def polys_with_rational_roots():
+    # (roots, cofactor, scale): p = scale * prod(t - r) * cofactor
+    root = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    return st.tuples(st.lists(root, max_size=5), st.lists(coeff, max_size=4), coeff.filter(bool))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polys_with_rational_roots())
+@example(([Fraction(10**12), Fraction(-(10**12))], [], Fraction(1)))  # t^2 - 10^24
+@example(([Fraction(10**12, 7)] * 2, F(-2, 0, 1), Fraction(-3, 5)))
+@example(([], [Fraction(0)], Fraction(1)))  # the zero polynomial
+def test_rational_roots_against_sympy(case):
+    roots, cofactor, scale = case
+    p = [scale]
+    for r in roots:
+        p = linalg.poly_mul(p, [-r, Fraction(1)])
+    p = linalg.poly_mul(p, linalg.poly_trim(cofactor)) if cofactor else p
+    if not p:
+        with pytest.raises(ValueError):
+            linalg.rational_roots(p)
+        return
+    found, rest = linalg.rational_roots(p)
+    t = sympy.Symbol("t")
+    expected = sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], t, domain="QQ")
+    assert dict(found) == {Fraction(int(r.p), int(r.q)): m for r, m in expected.ground_roots().items()}
+    assert len(found) == len(dict(found))
+    back = rest
+    for r, m in found:
+        for _ in range(m):
+            back = linalg.poly_mul(back, [-r, Fraction(1)])
+    assert back == p
 
 
 def test_compose_mod():
