@@ -26,7 +26,6 @@ from .rootsys import (
     longest_element,
     maximal_root,
     parabolic_data,
-    reflect,
     weight_leq,
 )
 from .sln import (

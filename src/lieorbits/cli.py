@@ -58,7 +58,7 @@ def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
 
 def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
     try:
-        coords = tuple(_parse_gaussian(t) for t in text.split(","))
+        coords = tuple([_parse_gaussian(t) for t in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(
             f"cannot parse --h {text!r}: {exc}",
@@ -71,7 +71,7 @@ def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
 
 def _parse_partition(text: str) -> orbits.Partition:
     try:
-        parts = tuple(int(t) for t in text.split(","))
+        parts = tuple([int(t) for t in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"cannot parse partition {text!r}: {exc}", hint='write it like "3,1,1"') from exc
     return orbits.Partition(parts)

@@ -87,8 +87,6 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def _integer_scaled(a) -> tuple[int, list[list[int]]]:
     """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix."""
-    # a set: unpacking a generator builds the argument tuple by resizing,
-    # which strands tuples in CPython's per-size free lists
     d = lcm(*{x.denominator for row in a for x in row})
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
@@ -390,6 +388,11 @@ def poly_deriv(p: Poly) -> Poly:
     return poly_trim([i * p[i] for i in range(1, len(p))])
 
 
+def squarefree_part(p: Poly) -> Poly:
+    """p divided by gcd(p, p'): the same roots, each once."""
+    return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
+
+
 def poly_eval(p: Poly, x):
     """p(x) by Horner's rule, in the ring of x and the coefficients of p."""
     out = 0
@@ -453,7 +456,7 @@ def _unit_intervals_with_roots(p: Poly) -> list[int]:
     variations from a to b counts the distinct roots in (a, b].  Halving from
     the Cauchy bound 1 + max |coefficient| takes O(coefficient bits) steps per root.
     """
-    chain = [poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]]
+    chain = [squarefree_part(p)]
     chain.append(poly_deriv(chain[0]))
     while chain[-1]:
         chain.append([-c for c in poly_mod(chain[-2], chain[-1])])

@@ -38,7 +38,7 @@ class MinOrbitReport:
 def min_orbit_report(rs: RootSystem) -> MinOrbitReport:
     """Compute the minimal-orbit data from the root system alone."""
     theta = maximal_root(rs)
-    unit = lambda i: tuple(1 if j == i - 1 else 0 for j in range(rs.rank))  # noqa: E731
+    unit = lambda i: tuple([1 if j == i - 1 else 0 for j in range(rs.rank)])  # noqa: E731
     pi_theta = frozenset(
         i for i in range(1, rs.rank + 1) if inner_product(rs, unit(i), theta.coeffs) == 0
     )

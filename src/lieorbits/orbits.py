@@ -90,7 +90,7 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
 
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition: column lengths of the Young diagram."""
-    return Partition(tuple(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1)))
+    return Partition(tuple([sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1)]))
 
 
 def jordan_matrix(lam: Partition) -> SlnElement:

@@ -5,6 +5,12 @@ breadth-first closure of the simple roots under the simple reflections.
 Simple-root indices are 1-based throughout the public API (Bourbaki
 numbering, with the branch node of E-types numbered 2).
 
+The Weyl group acts through the Cartan matrix alone.  One integer chamber
+walk serves both the longest element (it walks -rho in fundamental-weight
+coordinates) and the dominant representative of a real torus element (it
+walks the simple-root values), and simple_root_values is the one product
+of the Cartan matrix with coroot coordinates.
+
 The inner product is the symmetrized Cartan form normalized so that long
 roots have squared length 2.  Every quantity exposed here (coroot pairings,
 orthogonality, weight order) is invariant under rescaling that form, so the
@@ -72,7 +78,7 @@ class Root:
         return self.height > 0
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
+        return Root(tuple([-c for c in self.coeffs]))
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,9 @@ class RootSystem:
     """Full root data for one Cartan type.
 
     cartan_matrix[i][j] is the pairing of simple root i+1 against simple
-    coroot j+1; symmetrizer[j] is half the squared length of simple root
-    j+1, so that (alpha_i, alpha_j) = symmetrizer[j] * cartan_matrix[i][j].
+    coroot j+1, so row i holds alpha_(i+1) in fundamental-weight coordinates;
+    symmetrizer[j] is half the squared length of simple root j+1, so that
+    (alpha_i, alpha_j) = symmetrizer[j] * cartan_matrix[i][j].
     """
 
     ctype: CartanType
@@ -169,7 +176,7 @@ def _cartan_matrix(ctype: CartanType) -> tuple[Coeffs, ...]:
     elif fam == "G":
         a[0][1] = -1  # alpha_1 short
         a[1][0] = -3
-    return tuple(tuple(row) for row in a)
+    return tuple([tuple(row) for row in a])
 
 
 def _symmetrizer(cartan: tuple[Coeffs, ...]) -> tuple[Fraction, ...]:
@@ -187,7 +194,7 @@ def _symmetrizer(cartan: tuple[Coeffs, ...]) -> tuple[Fraction, ...]:
     if any(x is None for x in d):
         raise ValueError("disconnected Cartan matrix")
     top = max(d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[operator, union-attr]
+    return tuple([x / top for x in d])  # type: ignore[operator, union-attr]
 
 
 def _reflect_coeffs(cartan, i0: int, v):
@@ -205,7 +212,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     seen: set[Coeffs] = set()
     frontier: list[Coeffs] = []
     for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
+        unit = tuple([1 if j == i else 0 for j in range(n)])
         seen.add(unit)
         frontier.append(unit)
     while frontier:
@@ -218,8 +225,8 @@ def build_root_system(ctype: CartanType) -> RootSystem:
                     nxt.append(w)
         frontier = nxt
     ordered = sorted(seen, key=lambda c: (sum(c), c))
-    roots = tuple(Root(c) for c in ordered)
-    positive = tuple(r for r in roots if r.is_positive)
+    roots = tuple([Root(c) for c in ordered])
+    positive = tuple([r for r in roots if r.is_positive])
     if len(roots) != 2 * len(positive):
         raise RuntimeError("root generation lost the plus/minus symmetry")
     return RootSystem(
@@ -252,18 +259,35 @@ def inner_product(rs: RootSystem, u, v) -> Fraction:
 def coroot_pairing(rs: RootSystem, i: int, v) -> Fraction:
     """2<alpha_i, v>/<alpha_i, alpha_i>; the Cartan integer when v is simple."""
     i0 = _check_index(rs, i)
-    unit = tuple(1 if j == i0 else 0 for j in range(rs.rank))
+    unit = tuple([1 if j == i0 else 0 for j in range(rs.rank)])
     return 2 * inner_product(rs, unit, v) / inner_product(rs, unit, unit)
 
 
-def reflect(rs: RootSystem, i: int, v) -> RatVector:
-    """Simple reflection s_i applied to a rational vector in simple-root coordinates."""
-    i0 = _check_index(rs, i)
-    w = [Fraction(x) for x in v]
-    if len(w) != rs.rank:
-        raise ValueError(f"vector length {len(w)} != rank {rs.rank}")
-    w[i0] -= coroot_pairing(rs, i, w)
-    return tuple(w)
+def simple_root_values(rs: RootSystem, coords) -> tuple:
+    """alpha_i(h) for every simple root, h given by its coordinates over the simple coroots."""
+    if len(coords) != rs.rank:
+        raise ValueError(f"torus element has {len(coords)} coordinates, rank is {rs.rank}")
+    return tuple([sum([a * c for a, c in zip(row, coords) if a], Fraction(0)) for row in rs.cartan_matrix])
+
+
+def _chamber_walk(rows, v, limit: int) -> tuple[list, list[int]]:
+    """Walk v to the dominant chamber by the simple reflection at the least negative index.
+
+    s_i sends v to v - v_i * rows[i], where rows[i] is alpha_i in the
+    coordinates of v.  Returns the dominant vector and the 1-based letters;
+    raises RuntimeError if v is not dominant after limit steps.
+    """
+    v = list(v)
+    letters: list[int] = []
+    while True:
+        i = next((k for k, x in enumerate(v) if x < 0), None)
+        if i is None:
+            return v, letters
+        if len(letters) == limit:
+            raise RuntimeError(f"chamber walk is not dominant after {limit} steps")
+        c = v[i]
+        v = [x - c * r for x, r in zip(v, rows[i])]
+        letters.append(i + 1)
 
 
 def reflect_root(rs: RootSystem, i: int, r: Root) -> Root:
@@ -299,25 +323,11 @@ def maximal_root(rs: RootSystem) -> Root:
 def longest_element(rs: RootSystem) -> ReducedWord:
     """Reduced word for the longest Weyl element, by greedy descent.
 
-    Walk a strictly dominant vector to the antidominant chamber, always
-    reflecting at the least simple index with positive coroot pairing.  The
+    Walk -rho, which is (-1, ..., -1) in fundamental-weight coordinates, to
+    the dominant chamber, always reflecting at the least negative index.  The
     walk takes exactly one step per positive root.
     """
-    n = rs.rank
-    rho = [Fraction(0)] * n
-    for r in rs.positive_roots:
-        for j, c in enumerate(r.coeffs):
-            rho[j] += Fraction(c, 2)
-    v: RatVector = tuple(rho)
-    letters: list[int] = []
-    while True:
-        for i in range(1, n + 1):
-            if coroot_pairing(rs, i, v) > 0:
-                v = reflect(rs, i, v)
-                letters.append(i)
-                break
-        else:
-            break
+    _, letters = _chamber_walk(rs.cartan_matrix, [-1] * rs.rank, rs.num_positive)
     if len(letters) != rs.num_positive:
         raise RuntimeError("longest-element walk did not take |positive roots| steps")
     return ReducedWord(tuple(letters))
@@ -338,7 +348,7 @@ def dual_subset(rs: RootSystem, subset) -> frozenset[int]:
     w0 = longest_element(rs)
     out = set()
     for i in s:
-        unit = Root(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
+        unit = Root(tuple([1 if j == i - 1 else 0 for j in range(rs.rank)]))
         image = -apply_word_root(rs, w0, unit)
         coeffs = image.coeffs
         if sum(coeffs) != 1 or set(coeffs) - {0, 1}:
@@ -353,9 +363,9 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     for i in s:
         _check_index(rs, i)
     s0 = {i - 1 for i in s}
-    delta_s = tuple(r for r in rs.roots if all(c == 0 or j in s0 for j, c in enumerate(r.coeffs)))
-    plus = tuple(r for r in delta_s if r.is_positive)
-    minus = tuple(r for r in delta_s if not r.is_positive)
+    delta_s = tuple([r for r in rs.roots if all(c == 0 or j in s0 for j, c in enumerate(r.coeffs))])
+    plus = tuple([r for r in delta_s if r.is_positive])
+    minus = tuple([r for r in delta_s if not r.is_positive])
     dim_l = rs.rank + len(delta_s)
     dim_u = rs.num_positive - len(plus)
     return ParabolicData(
@@ -383,3 +393,13 @@ def solve_coroot_coords(rs: RootSystem, values) -> RatVector:
     """Coordinates over the simple coroots of the element with given simple-root values."""
     a = linalg.mat_from(rs.cartan_matrix)
     return tuple(linalg.solve(a, [linalg.frac(v) for v in values]))
+
+
+def dominant_values(rs: RootSystem, values) -> tuple:
+    """The dominant point in the Weyl orbit of a real h, both given by simple-root values.
+
+    s_i lowers alpha_k(h) by alpha_i(h) * a[k][i], so the walk runs on the
+    columns of the Cartan matrix.
+    """
+    columns = list(zip(*rs.cartan_matrix))
+    return tuple(_chamber_walk(columns, values, rs.num_positive)[0])

@@ -51,8 +51,6 @@ class SlnElement:
 
     @classmethod
     def from_rows(cls, rows) -> "SlnElement":
-        # tuples of lists: tuple() of a generator builds by resizing, which
-        # strands tuples in CPython's per-size free lists
         entries = tuple([tuple([linalg.frac(x) for x in row]) for row in rows])
         return cls(n=len(entries), entries=entries)
 
@@ -204,14 +202,10 @@ def is_nilpotent(x: SlnElement) -> bool:
     return not any(linalg.charpoly(x.to_matrix())[:-1])
 
 
-def _squarefree_part(p: Poly) -> Poly:
-    return linalg.poly_divmod(p, linalg.poly_gcd(p, linalg.poly_deriv(p)))[0]
-
-
 def is_semisimple(x: SlnElement) -> bool:
     """Diagonalizable iff the squarefree part of the characteristic polynomial kills x."""
     p = linalg.charpoly(x.to_matrix())
-    q = _squarefree_part(p)
+    q = linalg.squarefree_part(p)
     return linalg.mat_is_zero(linalg.poly_eval_matrix(q, x.to_matrix()))
 
 
@@ -228,7 +222,7 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     a = x.to_matrix()
     n = x.n
     p = linalg.charpoly(a)
-    q = _squarefree_part(p)
+    q = linalg.squarefree_part(p)
     _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
     sigma: Poly = [Fraction(0), Fraction(1)]
     rounds = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
@@ -261,7 +255,7 @@ def invariants_phi(x: SlnElement) -> tuple[Fraction, ...]:
     n = x.n
     if n >= 2 and p[n - 1] != 0:
         raise RuntimeError("trace coefficient nonzero for a traceless matrix")
-    return tuple(p[n - k] for k in range(2, n + 1))
+    return tuple([p[n - k] for k in range(2, n + 1)])
 
 
 def trace_power(x: SlnElement, k: int) -> Fraction:

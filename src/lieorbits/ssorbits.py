@@ -6,6 +6,10 @@ the fundamental domain, the vanishing set of simple roots, Levi stabilizer
 dimensions, regularity, and the dual-parabolic root identities are all exact;
 zero tests never involve tolerances.
 
+Root values of h come from rootsys.simple_root_values, applied to the real
+and imaginary parts, and the Weyl-group walks (w0, the dominant chamber) are
+the one integer chamber walk in rootsys.
+
 Stabilizers appear only through root sets and dimensions.  Reduction of an
 arbitrary complex h into the fundamental domain is deliberately not offered;
 only real h can be reflected to a dominant representative.
@@ -22,9 +26,12 @@ from .rootsys import (
     Root,
     RootSystem,
     apply_word_root,
+    dominant_values,
     dual_subset,
     longest_element,
     parabolic_data,
+    simple_root_values,
+    solve_coroot_coords,
 )
 
 
@@ -53,19 +60,6 @@ class GaussianRational:
             return re
         return cls(linalg.frac(re), linalg.frac(im))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def scale(self, s) -> "GaussianRational":
-        s = linalg.frac(s)
-        return GaussianRational(s * self.re, s * self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -78,9 +72,6 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)} i"
 
 
-_ZERO = GaussianRational(Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class TorusElement:
     """A Cartan element over the simple coroots, with exact complex coordinates."""
@@ -89,34 +80,27 @@ class TorusElement:
 
     @classmethod
     def of(cls, values) -> "TorusElement":
-        return cls(tuple(GaussianRational.of(v) for v in values))
+        return cls(tuple([GaussianRational.of(v) for v in values]))
 
     def is_real(self) -> bool:
         return all(c.im == 0 for c in self.coords)
 
 
 def simple_values(rs: RootSystem, h: TorusElement) -> tuple[GaussianRational, ...]:
-    """The values alpha_i(h) for every simple root, via the Cartan matrix."""
-    if len(h.coords) != rs.rank:
-        raise ValueError(f"torus element has {len(h.coords)} coordinates, rank is {rs.rank}")
-    a = rs.cartan_matrix
-    out = []
-    for i in range(rs.rank):
-        acc = _ZERO
-        for j, c in enumerate(h.coords):
-            if a[i][j]:
-                acc = acc + c.scale(a[i][j])
-        out.append(acc)
-    return tuple(out)
+    """The values alpha_i(h) for every simple root, on the real and imaginary parts."""
+    re = simple_root_values(rs, [c.re for c in h.coords])
+    im = simple_root_values(rs, [c.im for c in h.coords])
+    return tuple([GaussianRational(x, y) for x, y in zip(re, im)])
+
+
+def _value_on(vals: tuple[GaussianRational, ...], r: Root) -> GaussianRational:
+    re = sum([k * v.re for k, v in zip(r.coeffs, vals) if k], Fraction(0))
+    im = sum([k * v.im for k, v in zip(r.coeffs, vals) if k], Fraction(0))
+    return GaussianRational(re, im)
 
 
 def root_value(rs: RootSystem, h: TorusElement, r: Root) -> GaussianRational:
-    vals = simple_values(rs, h)
-    acc = _ZERO
-    for i, k in enumerate(r.coeffs):
-        if k:
-            acc = acc + vals[i].scale(k)
-    return acc
+    return _value_on(simple_values(rs, h), r)
 
 
 def _first_violation(rs: RootSystem, h: TorusElement) -> tuple[int, GaussianRational] | None:
@@ -143,15 +127,7 @@ def centralizer_root_set(rs: RootSystem, h: TorusElement) -> tuple[Root, ...]:
     Levi root set of the vanishing simple roots; a mismatch raises RuntimeError.
     """
     vals = simple_values(rs, h)
-    vanishing = []
-    for r in rs.roots:
-        acc = _ZERO
-        for i, k in enumerate(r.coeffs):
-            if k:
-                acc = acc + vals[i].scale(k)
-        if acc.is_zero():
-            vanishing.append(r)
-    out = tuple(vanishing)
+    out = tuple([r for r in rs.roots if _value_on(vals, r).is_zero()])
     if in_fundamental_domain(rs, h):
         levi = parabolic_data(rs, pi_of_h(rs, h)).delta_s
         if set(out) != set(levi):
@@ -248,25 +224,12 @@ def compactification_dims(rs: RootSystem, h: TorusElement) -> tuple[int, int, in
 def dominant_representative(rs: RootSystem, h: TorusElement) -> TorusElement:
     """Reflect a real torus element into the dominant chamber.
 
-    Repeatedly applies the simple reflection at the least index with a
+    Walks the simple-root values of h, reflecting at the least index with a
     negative value; terminates in at most |positive roots| steps.  Complex
     coordinates are rejected: a canonical reduction for those would need an
     ordering convention this module does not fix.
     """
     if not h.is_real():
         raise ValueError("dominant_representative supports real coordinates only")
-    coords = [c.re for c in h.coords]
-    a = rs.cartan_matrix
-    steps = 0
-    limit = rs.num_positive
-    while True:
-        vals = [sum((c * a[i][j] for j, c in enumerate(coords)), Fraction(0)) for i in range(rs.rank)]
-        i = next((k for k, v in enumerate(vals) if v < 0), None)
-        if i is None:
-            break
-        # reflection on the Cartan side: subtract alpha_i(h) times the coroot
-        coords[i] -= vals[i]
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("reflection walk exceeded the positive-root count")
-    return TorusElement.of(coords)
+    values = dominant_values(rs, simple_root_values(rs, [c.re for c in h.coords]))
+    return TorusElement.of(solve_coroot_coords(rs, values))

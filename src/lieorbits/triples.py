@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootsys import Root, RootSystem, solve_coroot_coords
+from .rootsys import Root, RootSystem, simple_root_values, solve_coroot_coords
 from .sln import SlnElement, bracket, is_nilpotent
 
 
@@ -30,11 +30,11 @@ class CorootVector:
 
     def evaluate(self, rs: RootSystem, i: int) -> Fraction:
         """Value of the i-th simple root (1-based) on this element."""
-        a = rs.cartan_matrix
-        return sum((c * a[i - 1][j] for j, c in enumerate(self.coords)), Fraction(0))
+        return simple_root_values(rs, self.coords)[i - 1]
 
     def evaluate_root(self, rs: RootSystem, r: Root) -> Fraction:
-        return sum((k * self.evaluate(rs, i + 1) for i, k in enumerate(r.coeffs) if k), Fraction(0))
+        vals = simple_root_values(rs, self.coords)
+        return sum([k * v for k, v in zip(r.coeffs, vals) if k], Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,13 @@ def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
     except ValueError as exc:
         raise RuntimeError(f"Cartan matrix of {rs.ctype} is singular") from exc
     h = CorootVector(coords)
-    for i in range(1, n + 1):
-        if h.evaluate(rs, i) != 2:
-            raise RuntimeError("coefficient solve failed to give alpha(h) = 2")
+    if any([v != 2 for v in simple_root_values(rs, coords)]):
+        raise RuntimeError("coefficient solve failed to give alpha(h) = 2")
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            diff = tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
+            diff = tuple([(1 if k == i else 0) - (1 if k == j else 0) for k in range(n)])
             if rs.is_root(diff):
                 raise RuntimeError(
                     f"simple-root difference alpha_{i+1} - alpha_{j+1} is a root; "

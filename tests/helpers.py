@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators and slow oracles shared by the test modules.
 
 All samples are exact rational matrices.  Conjugation uses products of
 integer shear matrices, so inverses are exact and determinants are 1.
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from lieorbits import linalg
 from lieorbits.orbits import Partition, jordan_matrix, partitions
+from lieorbits.rootsys import RootSystem, coroot_pairing
 from lieorbits.sln import SlnElement, ad_matrix
 
 
@@ -90,3 +91,43 @@ def rand_jordan_type(rng: random.Random, n: int) -> SlnElement:
         rows[i][i] = Fraction(values[i]) - shift
     g, gi = rand_unimodular(rng, n)
     return conjugate(g, gi, SlnElement.from_rows(rows))
+
+
+def longest_word_by_rho(rs: RootSystem) -> tuple[int, ...]:
+    """Letters of w0 from the Fraction walk of rho in simple-root coordinates: the slow oracle.
+
+    rho is half the sum of the positive roots; each step reflects at the least
+    index whose coroot pairing, taken through the symmetrized form, is positive.
+    """
+    v = [Fraction(0)] * rs.rank
+    for r in rs.positive_roots:
+        for j, c in enumerate(r.coeffs):
+            v[j] += Fraction(c, 2)
+    letters = []
+    for _ in range(rs.num_positive + 1):
+        for i in range(1, rs.rank + 1):
+            pairing = coroot_pairing(rs, i, v)
+            if pairing > 0:
+                v[i - 1] -= pairing
+                letters.append(i)
+                break
+        else:
+            return tuple(letters)
+    raise RuntimeError("rho walk took more than |positive roots| steps")
+
+
+def dominant_by_coroot_walk(rs: RootSystem, coords) -> list[Fraction]:
+    """Real coroot coordinates reflected into the dominant chamber on the coroot side: the slow oracle.
+
+    Each step recomputes every simple-root value and subtracts the least-index
+    negative one from its own coordinate.
+    """
+    coords = [Fraction(c) for c in coords]
+    a = rs.cartan_matrix
+    for _ in range(rs.num_positive + 1):
+        vals = [sum((c * a[i][j] for j, c in enumerate(coords)), Fraction(0)) for i in range(rs.rank)]
+        i = next((k for k, v in enumerate(vals) if v < 0), None)
+        if i is None:
+            return coords
+        coords[i] -= vals[i]
+    raise RuntimeError("coroot walk took more than |positive roots| steps")

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
+
+from helpers import longest_word_by_rho
 
 from lieorbits.rootsys import (
     CartanType,
@@ -13,7 +16,6 @@ from lieorbits.rootsys import (
     longest_element,
     maximal_root,
     parabolic_data,
-    reflect,
     reflect_root,
     root_system_to_json,
     weight_leq,
@@ -69,19 +71,6 @@ def test_root_type_invariants():
         Root((1, -1))
 
 
-def test_reflect_examples():
-    a1 = build_root_system(CartanType("A", 1))
-    assert reflect(a1, 1, (1,)) == (Fraction(-1),)
-    a2 = build_root_system(CartanType("A", 2))
-    assert reflect(a2, 1, (0, 1)) == (Fraction(1), Fraction(1))
-    # orthogonal vectors are fixed: in D3 the outer nodes do not talk to each other
-    d3 = build_root_system(CartanType("D", 3))
-    assert reflect(d3, 2, unit(3, 3)) == tuple(map(Fraction, unit(3, 3)))
-    # involution on rational vectors
-    v = (Fraction(1, 2), Fraction(-3, 5))
-    assert reflect(a2, 2, reflect(a2, 2, v)) == v
-
-
 def test_weight_leq_examples():
     a2 = build_root_system(CartanType("A", 2))
     assert weight_leq(a2, (1, 0), (1, 0))
@@ -131,6 +120,27 @@ def test_longest_element(family, rank):
     positives = {r.coeffs for r in rs.positive_roots}
     assert {apply_word_root(rs, w0, r).coeffs for r in rs.positive_roots} == {(-r).coeffs for r in rs.positive_roots}
     assert positives == {(-apply_word_root(rs, w0, r)).coeffs for r in rs.positive_roots}
+
+
+W0_TYPES = (
+    [("A", n) for n in range(1, 21)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(3, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_longest_element_against_rho_walk():
+    # the integer walk of -rho over fundamental weights against the Fraction
+    # walk of rho over simple roots; the digest pins the words themselves
+    digest = hashlib.sha256()
+    for family, rank in W0_TYPES:
+        rs = build_root_system(CartanType(family, rank))
+        letters = longest_element(rs).letters
+        assert letters == longest_word_by_rho(rs)
+        digest.update(f"{family}{rank}:{','.join(map(str, letters))}\n".encode())
+    assert digest.hexdigest() == "26febf11df900e853a1f4cc805415ea8453594521eb8a15f79703f4fd470c883"
 
 
 def test_longest_element_small_words():

@@ -32,6 +32,25 @@ def test_tracer_targets_exist():
     assert missing == []
 
 
+def test_no_generator_tuples_in_src():
+    # on CPython 3.11, tuple(<generator>) and f(*<generator>) build their tuple
+    # by resizing, which strands tuples in the per-size free lists; the
+    # benchmark's peak RSS counts those, so src builds from lists instead
+    offenders = []
+    for path in sorted(Path(lieorbits.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args:
+                if isinstance(node.args[0], ast.GeneratorExp):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            offenders += [
+                f"{path.name}:{node.lineno}"
+                for arg in node.args
+                if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+            ]
+    assert offenders == []
 
 
 def test_linalg_has_no_dead_kernels():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_jordan_type, rand_rational_spectrum
+from helpers import dominant_by_coroot_walk, rand_jordan_type, rand_rational_spectrum
 from lieorbits import ssorbits
 from lieorbits.rootsys import CartanType, build_root_system, parabolic_data, solve_coroot_coords
 from lieorbits.sln import is_semisimple, jordan_chevalley, same_orbit
@@ -177,6 +177,30 @@ def test_dominant_representative():
         assert before == after
     with pytest.raises(ValueError):
         dominant_representative(a2, TorusElement.of([GaussianRational.of(0, 1), GaussianRational.of(0)]))
+
+
+RANK_LE_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_dominant_representative_against_coroot_walk():
+    # the chamber walk on simple-root values against the old loop on coroot
+    # coordinates, which recomputes every value after each step
+    rng = random.Random(88)
+    for family, rank in RANK_LE_8:
+        rs = build_root_system(CartanType(family, rank))
+        for _ in range(8):
+            coords = [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(rank)]
+            hd = dominant_representative(rs, TorusElement.of(coords))
+            assert [c.re for c in hd.coords] == dominant_by_coroot_walk(rs, coords)
+            assert hd.is_real() and in_fundamental_domain(rs, hd)
+        with pytest.raises(ValueError):
+            dominant_representative(rs, TorusElement.of([GaussianRational.of(1, 1)] * rank))
 
 
 def test_semisimple_iff_orbit_contains_semisimple_part():
