@@ -6,6 +6,9 @@ irrational spectra, invalid rank for a family, ...), 3 when an internal
 self-check fails (a bug; the error names the function whose check failed).
 Every failure prints a one-line JSON object {"error": ..., "hint": ...};
 identical inputs always produce byte-identical outputs.
+
+Inputs are bounded so that no call runs unbounded: --rank is at most 40 and
+poset --n at most 40; above a limit the call exits 1 and names it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import minorbit, orbits, rootsys, sln, ssorbits, topology, triples
+# Each handler imports the modules it calls, so that a call compiles no others.
+if TYPE_CHECKING:
+    from . import orbits, rootsys, sln, ssorbits
+
+MAX_RANK = 40
+MAX_POSET_N = 40
 
 
 class _UsageError(Exception):
@@ -30,14 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# keyed by qualified class name, so that looking up a hint imports nothing
 _DOMAIN_HINTS = {
-    ssorbits.FundamentalDomainError: "use a dominant h; real h can be reduced via the library",
-    sln.IrrationalSpectrumError: "conjugacy testing supports rational eigenvalues only",
+    "lieorbits.ssorbits.FundamentalDomainError": "use a dominant h; real h can be reduced via the library",
+    "lieorbits.sln.IrrationalSpectrumError": "conjugacy testing supports rational eigenvalues only",
 }
 
 
 def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
     """Parse "a", "a/b", "a+b i" or "a-b i" (spaces optional) exactly."""
+    from . import ssorbits
+
     s = token.strip().replace(" ", "")
     if not s:
         raise ValueError("empty coordinate")
@@ -57,6 +69,8 @@ def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
 
 
 def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
+    from . import ssorbits
+
     try:
         coords = tuple([_parse_gaussian(t) for t in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
@@ -70,6 +84,8 @@ def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
 
 
 def _parse_partition(text: str) -> orbits.Partition:
+    from . import orbits
+
     try:
         parts = tuple([int(t) for t in text.split(",")])
     except ValueError as exc:
@@ -91,6 +107,8 @@ def _load_matrix(path: str) -> sln.SlnElement:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}", hint="check the file path") from exc
+    from . import sln
+
     try:
         return sln.matrix_from_json(text)
     except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
@@ -101,20 +119,31 @@ def _load_matrix(path: str) -> sln.SlnElement:
 
 
 def _root_system(args) -> rootsys.RootSystem:
-    return rootsys.build_root_system(rootsys.CartanType(args.type, args.rank))
+    from . import rootsys
+
+    ctype = rootsys.CartanType(args.type, args.rank)
+    if ctype.rank > MAX_RANK:
+        raise ValueError(f"--rank {ctype.rank} is above the limit of {MAX_RANK}")
+    return rootsys.build_root_system(ctype)
 
 
 def _cmd_roots(args):
+    from . import rootsys
+
     return rootsys.root_system_to_json(_root_system(args))
 
 
 def _cmd_maxroot(args):
+    from . import rootsys
+
     rs = _root_system(args)
     theta = rootsys.maximal_root(rs)
     return {"type": args.type, "rank": args.rank, "theta": list(theta.coeffs), "height": theta.height}
 
 
 def _cmd_parabolic(args):
+    from . import rootsys
+
     rs = _root_system(args)
     subset = _parse_subset(args.subset)
     for i in sorted(subset):
@@ -134,6 +163,8 @@ def _cmd_parabolic(args):
 
 
 def _cmd_w0(args):
+    from . import rootsys
+
     rs = _root_system(args)
     word = rootsys.longest_element(rs)
     return {"type": args.type, "rank": args.rank, "word": list(word.letters), "length": len(word)}
@@ -142,11 +173,16 @@ def _cmd_w0(args):
 def _cmd_killing(args):
     x = _load_matrix(args.matrix)
     y = _load_matrix(args.other)
+    from . import sln
+
     return {"value": str(sln.killing(x, y))}
 
 
 def _cmd_jordan(args):
-    pair = sln.jordan_chevalley(_load_matrix(args.matrix))
+    x = _load_matrix(args.matrix)
+    from . import sln
+
+    pair = sln.jordan_chevalley(x)
     return {
         "semisimple": sln.matrix_to_json(pair.semisimple_part),
         "nilpotent": sln.matrix_to_json(pair.nilpotent_part),
@@ -155,11 +191,15 @@ def _cmd_jordan(args):
 
 def _cmd_phi(args):
     x = _load_matrix(args.matrix)
+    from . import sln
+
     return {"n": x.n, "coeffs": [str(c) for c in sln.invariants_phi(x)]}
 
 
 def _cmd_orbit_dim(args):
     x = _load_matrix(args.matrix)
+    from . import sln
+
     cent = sln.centralizer_dim(x)
     return {"n": x.n, "orbit_dim": x.n * x.n - 1 - cent, "centralizer_dim": cent}
 
@@ -167,10 +207,14 @@ def _cmd_orbit_dim(args):
 def _cmd_same_orbit(args):
     x = _load_matrix(args.matrix)
     y = _load_matrix(args.other)
+    from . import sln
+
     return {"same_orbit": sln.same_orbit(x, y)}
 
 
 def _cmd_triple(args):
+    from . import triples
+
     rs = _root_system(args)
     t = triples.kostant_principal(rs)
     return {
@@ -183,7 +227,10 @@ def _cmd_triple(args):
 
 
 def _cmd_jm(args):
-    t = triples.jacobson_morozov_sln(_load_matrix(args.matrix))
+    x = _load_matrix(args.matrix)
+    from . import sln, triples
+
+    t = triples.jacobson_morozov_sln(x)
     return {
         "x": sln.matrix_to_json(t.x),
         "h": sln.matrix_to_json(t.h),
@@ -192,6 +239,10 @@ def _cmd_jm(args):
 
 
 def _cmd_poset(args):
+    if args.n > MAX_POSET_N:
+        raise ValueError(f"--n {args.n} is above the limit of {MAX_POSET_N}")
+    from . import orbits
+
     poset = orbits.hasse_diagram(args.n)
     if args.dot:
         return orbits.poset_to_dot(poset)
@@ -199,6 +250,8 @@ def _cmd_poset(args):
 
 
 def _cmd_closure(args):
+    from . import orbits
+
     lower = _parse_partition(args.lower)
     upper = _parse_partition(args.upper)
     if lower.n != args.n or upper.n != args.n:
@@ -216,6 +269,8 @@ def _cmd_closure(args):
 
 
 def _cmd_ssorbit(args):
+    from . import ssorbits
+
     rs = _root_system(args)
     h = _parse_torus(args.h, rs.rank)
     in_d = ssorbits.in_fundamental_domain(rs, h)
@@ -228,6 +283,8 @@ def _cmd_ssorbit(args):
 
 
 def _cmd_poincare(args):
+    from . import topology
+
     rs = _root_system(args)
     data = topology.exponents(rs)
     if args.latex:
@@ -236,6 +293,8 @@ def _cmd_poincare(args):
 
 
 def _cmd_minorbit(args):
+    from . import minorbit
+
     rs = _root_system(args)
     rep = minorbit.min_orbit_report(rs)
     return {
@@ -250,7 +309,7 @@ def _cmd_minorbit(args):
 
 def _add_type_rank(p: argparse.ArgumentParser):
     p.add_argument("--type", required=True, choices=list("ABCDEFG"), help="Cartan family")
-    p.add_argument("--rank", required=True, type=int, help="rank of the root system")
+    p.add_argument("--rank", required=True, type=int, help=f"rank of the root system (at most {MAX_RANK})")
 
 
 def _build_parser() -> _Parser:
@@ -301,7 +360,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
 
     p = add("poset", _cmd_poset, "nilpotent orbit poset for traceless n x n matrices")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_POSET_N})")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--json", action="store_true", help="JSON output (the default)")
     grp.add_argument("--dot", action="store_true", help="DOT output")
@@ -355,7 +414,8 @@ def main(argv=None) -> int:
         stream.write(json.dumps({"error": str(exc), "hint": exc.hint}) + "\n")
         return 2
     except ValueError as exc:
-        hint = _DOMAIN_HINTS.get(type(exc), "see --help of the subcommand for the expected inputs")
+        kind = f"{type(exc).__module__}.{type(exc).__qualname__}"
+        hint = _DOMAIN_HINTS.get(kind, "see --help of the subcommand for the expected inputs")
         stream.write(json.dumps({"error": str(exc), "hint": hint}) + "\n")
         return 1
     except RuntimeError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orbits import minimal_orbit, orbit_dim_partition
 from .rootsys import (
     CartanType,
     Root,
@@ -65,6 +64,8 @@ def type_a_flag_check(n: int) -> bool:
     of dimension 2n - 3; the orbit itself must match the partition-route
     dimension of the (2, 1, ..., 1) orbit.
     """
+    from .orbits import minimal_orbit, orbit_dim_partition
+
     if n < 3:
         raise ValueError("n must be at least 3")
     report = min_orbit_report(build_root_system(CartanType("A", n - 1)))

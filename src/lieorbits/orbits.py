@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import linalg
-from .sln import SlnElement
+if TYPE_CHECKING:
+    from .sln import SlnElement
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,8 @@ def transpose(lam: Partition) -> Partition:
 
 def jordan_matrix(lam: Partition) -> SlnElement:
     """Nilpotent block matrix with one upper Jordan block per part, largest first."""
+    from .sln import SlnElement
+
     n = lam.n
     m = [[Fraction(0)] * n for _ in range(n)]
     off = 0
@@ -117,6 +120,8 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
     True iff rank(J_lam^k) <= rank(J_mu^k) for 1 <= k < n, with ranks computed
     from the actual matrix powers; independent of the dominance shortcut.
     """
+    from . import linalg
+
     _check_same_n(lam, mu)
     n = lam.n
     a = jordan_matrix(lam).to_matrix()

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
-
 Coeffs = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
@@ -391,6 +389,8 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 def solve_coroot_coords(rs: RootSystem, values) -> RatVector:
     """Coordinates over the simple coroots of the element with given simple-root values."""
+    from . import linalg
+
     a = linalg.mat_from(rs.cartan_matrix)
     return tuple(linalg.solve(a, [linalg.frac(v) for v in values]))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .rootsys import (
     ParabolicData,
     Root,
@@ -58,6 +57,8 @@ class GaussianRational:
     def of(cls, re, im=0) -> "GaussianRational":
         if isinstance(re, GaussianRational):
             return re
+        from . import linalg
+
         return cls(linalg.frac(re), linalg.frac(im))
 
     def is_zero(self) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits import linalg
+from lieorbits import linalg, ssorbits
 from lieorbits.cli import main
 
 
@@ -125,7 +125,16 @@ def test_same_orbit(capsys, tmp_path, h2):
     assert code == 0 and json.loads(out) == {"same_orbit": True}
     irr = write_matrix(tmp_path, "irr.json", 2, [["0", "2"], ["1", "0"]])
     code, out = run(capsys, ["same-orbit", "--matrix", irr, "--other", h2])
-    assert code == 1 and "error" in json.loads(out)
+    assert code == 1
+    assert one_json_line(out)["hint"] == "conjugacy testing supports rational eigenvalues only"
+
+
+def test_ssorbit_outside_the_domain_hint(capsys, monkeypatch):
+    # ssorbit asks in_fundamental_domain first, so force the domain-only path
+    monkeypatch.setattr(ssorbits, "in_fundamental_domain", lambda rs, h: True)
+    code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", "1,0"])
+    assert code == 1
+    assert one_json_line(out)["hint"] == "use a dominant h; real h can be reduced via the library"
 
 
 def test_same_orbit_with_huge_eigenvalues_is_bounded(capsys, tmp_path):
@@ -270,3 +279,25 @@ def test_malformed_matrix_file(capsys, tmp_path):
     nottrace.write_text(json.dumps({"n": 2, "entries": [["1", "0"], ["0", "0"]]}))
     code, out = run(capsys, ["phi", "--matrix", str(nottrace)])
     assert code == 2
+
+
+def test_rank_and_poset_limits(capsys):
+    code, out = run(capsys, ["w0", "--type", "A", "--rank", "40"])
+    assert code == 0 and json.loads(out)["length"] == 40 * 41 // 2
+    for command in ("roots", "maxroot", "parabolic", "w0", "triple", "ssorbit", "poincare", "minorbit"):
+        argv = [command, "--type", "B", "--rank", "41"] + (["--h", "1"] if command == "ssorbit" else [])
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert one_json_line(out)["error"] == "--rank 41 is above the limit of 40"
+    code, out = run(capsys, ["poset", "--n", "40"])
+    assert code == 0 and len(json.loads(out)["nodes"]) == 37338  # p(40)
+    code, out = run(capsys, ["poset", "--n", "41", "--dot"])
+    assert code == 1
+    assert one_json_line(out)["error"] == "--n 41 is above the limit of 40"
+
+
+def test_help_lists_the_limits(capsys):
+    for argv in (["--help"], ["roots", "--help"], ["poset", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "at most 40" in capsys.readouterr().out
