@@ -2,21 +2,24 @@
 
 Matrices are lists of rows of Fraction entries; polynomials are coefficient
 lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
-floats or tolerances.  One fraction-free Gauss-Jordan pass is the only
-elimination: rank counts its pivots, rref divides its integer rows by the last
-pivot (int input gives Fraction output too), and nullspace, solve and inverse
-read their answers off rref.  charpoly and invariant_factors work on the
-integer matrix d*a, d the lcm of the denominators of a: Faddeev-LeVerrier for
-the first; for the second a Krylov basis, its relations from one rref and
-their Smith form over Q[t].  Every division in the polynomial routines is
-exact, and rational_roots bisects with a Sturm chain, in a number of steps
-bounded by the bit length of the coefficients.
+floats or tolerances.  The matrix kernels run on integer scalings d*a, d the
+lcm of the denominators of a, and build Fractions only for their results:
+mat_mul multiplies the two scalings in ints (mat_vec is mat_mul against one
+column).  One fraction-free Gauss-Jordan pass is the only elimination: rank
+counts its pivots, rref divides its integer rows by the last pivot (int input
+gives Fraction output too), and nullspace, solve and inverse read their
+answers off rref.  charpoly is Faddeev-LeVerrier on d*a; invariant_factors
+grows a Krylov basis of d*a, tests each new vector against an integer echelon
+of the basis, takes the relations from one rref and their Smith form over
+Q[t].  Every division in the polynomial routines is exact, and rational_roots
+bisects with a Sturm chain, in a number of steps bounded by the bit length of
+the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Matrix = list[list[Fraction]]
@@ -58,23 +61,32 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
+    """The product ab, computed on integer scalings.
+
+    With A = d_a*a and B = d_b*b integer matrices (d the lcm of the
+    denominators), ab = AB/(d_a*d_b): the inner products run in ints, rows of
+    A skip their zero entries, and each output entry is one Fraction.
+    """
+    da, ai = _integer_scaled(a)
+    db, bi = _integer_scaled(b)
+    d = da * db
     c = len(b[0]) if b else 0
-    out = zeros(n, c)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
+    zero = Fraction(0)
+    out = []
+    for row in ai:
+        acc = [0] * c
+        for x, bt in zip(row, bi):
             if x:
-                bt = b[t]
-                for j in range(c):
-                    oi[j] += x * bt[j]
+                acc = [s + x * y for s, y in zip(acc, bt)]
+        out.append([Fraction(s, d) if s else zero for s in acc])
     return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    """a times the column v, as mat_mul of a and a one-column matrix."""
+    if not v:  # [] as a matrix has no rows to carry the one column
+        return [Fraction(0)] * len(a)
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_trace(a: Matrix) -> Fraction:
@@ -87,8 +99,11 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def _integer_scaled(a) -> tuple[int, list[list[int]]]:
     """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix."""
-    d = lcm(*{x.denominator for row in a for x in row})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    ratios = [[x.as_integer_ratio() for x in row] for row in a]
+    d = lcm(*{q for row in ratios for _, q in row})
+    if d == 1:
+        return 1, [[p for p, _ in row] for row in ratios]
+    return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
 def _gauss_jordan(m) -> tuple[list[list[int]], list[int], int]:
@@ -200,9 +215,10 @@ def invariant_factors(a: Matrix) -> list[Poly]:
 
     Works on the integer matrix A = d*a (d the lcm of the denominators of
     a).  A Krylov basis is built block by block from e_1, e_2, ...: each
-    block v, Av, A^2 v, ... stops at its first power that rank shows to
-    depend on the basis so far.  One rref([K | tails]) writes every block's
-    tail A^m_j v_j over the basis, which gives the relation
+    block v, Av, A^2 v, ... stops at its first power that depends on the
+    basis so far, which one reduction against an integer echelon of the
+    basis decides.  One rref([K | tails]) writes every block's tail A^m_j v_j
+    over the basis, which gives the relation
     g_j(A) v_j = sum_(l<j) h_lj(A) v_l; the Smith form of the relation matrix
     over Q[t] has A's invariant factors on its diagonal, and f(t) of A maps
     back to f(d t)/d^deg(f) for a.  Raises RuntimeError unless the degrees
@@ -211,19 +227,20 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     n = len(a)
     d, ai = _integer_scaled(a)
     basis: list[list[int]] = []  # Krylov vectors A^i v_j, block after block
+    echelon: list[tuple[int, list[int]]] = []  # the same span, reduced
     sizes: list[int] = []
     tails: list[list[int]] = []
     for j in range(n):
         if len(basis) == n:
             break
         v = [int(i == j) for i in range(n)]
-        if rank(basis + [v]) == len(basis):
+        if not _echelon_insert(echelon, v):
             continue
         start = len(basis)
         while True:
             basis.append(v)
             v = [sum(map(mul, row, v)) for row in ai]
-            if rank(basis + [v]) == len(basis):
+            if not _echelon_insert(echelon, v):
                 break
         sizes.append(len(basis) - start)
         tails.append(v)
@@ -242,6 +259,30 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     if sum(len(f) - 1 for f in factors) != n or product != charpoly(a):
         raise RuntimeError("invariant factors disagree with the characteristic polynomial")
     return factors
+
+
+def _echelon_insert(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer vector v against the echelon rows; keep what remains.
+
+    Each row is zero at the pivot columns of the rows before it, so one pass
+    in order clears every pivot column of v, fraction-free: at pivot p the
+    step is v <- (p*v - f*row)/g with f = v[pivot] and g = gcd(p, f).  If
+    something nonzero remains, it is divided by its gcd and appended with its
+    first nonzero column as pivot, and True is returned: v was independent.
+    """
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            p = row[c]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            v = [p * x - f * y for x, y in zip(v, row)]
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    g = gcd(*v)
+    echelon.append((c, [x // g for x in v]))
+    return True
 
 
 def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:

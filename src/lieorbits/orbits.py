@@ -12,7 +12,6 @@ so the diagram needs no pairwise dominance comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -60,16 +59,19 @@ def partitions(n: int) -> list[Partition]:
     if n < 1:
         raise ValueError("n must be at least 1")
     out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            rec(remaining - p, p, prefix + (p,))
-
-    rec(n, n, ())
+    _extend_partitions(out, n, n, ())
     return out
+
+
+def _extend_partitions(out: list[Partition], remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
+    # a module-level function: a nested one would hold itself and out in a
+    # reference cycle, and the partitions would outlive the caller until the
+    # cyclic garbage collector ran
+    if remaining == 0:
+        out.append(Partition(prefix))
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        _extend_partitions(out, remaining - p, p, prefix + (p,))
 
 
 def _check_same_n(lam: Partition, mu: Partition):
@@ -98,20 +100,30 @@ def jordan_matrix(lam: Partition) -> SlnElement:
     """Nilpotent block matrix with one upper Jordan block per part, largest first."""
     from .sln import SlnElement
 
+    return SlnElement.from_rows(_jordan_rows(lam))
+
+
+def _jordan_rows(lam: Partition) -> list[list[int]]:
+    """The entries of jordan_matrix(lam) as rows of 0/1 ints."""
     n = lam.n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     off = 0
     for p in lam.parts:
         for i in range(p - 1):
-            m[off + i][off + i + 1] = Fraction(1)
+            m[off + i][off + i + 1] = 1
         off += p
-    return SlnElement.from_rows(m)
+    return m
 
 
 def orbit_dim_partition(lam: Partition) -> int:
-    """n^2 minus the sum of squared transpose parts; oracle-checked in the tests."""
+    """n^2 - sum_i (2i-1) lam_i over the decreasing parts, i from 1.
+
+    That sum equals the sum of the squared parts of the transpose: column j
+    of the Young diagram has one cell in each row i <= lam*_j, and
+    lam*_j^2 = sum over those i of 2i-1.
+    """
     n = lam.n
-    return n * n - sum(t * t for t in transpose(lam).parts)
+    return n * n - sum([(2 * i + 1) * p for i, p in enumerate(lam.parts)])
 
 
 def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
@@ -124,8 +136,8 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
 
     _check_same_n(lam, mu)
     n = lam.n
-    a = jordan_matrix(lam).to_matrix()
-    b = jordan_matrix(mu).to_matrix()
+    a = _jordan_rows(lam)
+    b = _jordan_rows(mu)
     pa, pb = a, b
     for k in range(1, n):
         if k > 1:

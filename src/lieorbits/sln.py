@@ -286,32 +286,38 @@ def rational_eigenvalues(x: SlnElement) -> dict[Fraction, int]:
     return dict(roots)
 
 
+def _rank_sequence(x: SlnElement, lam: Fraction, mult: int):
+    """Yield rank((x - lam I)^k) for k = 1, ..., mult - 1.
+
+    With rank n - mult for every power k >= mult, these ranks fix the sizes
+    of the Jordan blocks of x at an eigenvalue lam of multiplicity mult: the
+    number of blocks of size at least k is rank^(k-1) - rank^k.
+    """
+    a = x.to_matrix()
+    for i in range(x.n):
+        a[i][i] -= lam
+    power = a
+    for k in range(1, mult):
+        if k > 1:
+            power = linalg.mat_mul(power, a)
+        yield linalg.rank(power)
+
+
 def same_orbit(x: SlnElement, y: SlnElement) -> bool:
     """Conjugacy test via eigenvalues plus rank sequences of (x - lambda I)^k.
 
     Equality of all such ranks pins the Jordan type at every eigenvalue; for
     traceless matrices conjugacy over the full linear group coincides with
-    conjugacy over the special linear group.
+    conjugacy over the special linear group.  The two sequences are compared
+    power by power, so the first difference ends the test.
     """
     _same_n(x, y)
     ex, ey = rational_eigenvalues(x), rational_eigenvalues(y)
     if ex != ey:
         return False
-    n = x.n
     for lam, mult in ex.items():
-        # both sides have rank n - mult for every power k >= mult
-        a = x.to_matrix()
-        b = y.to_matrix()
-        for i in range(n):
-            a[i][i] -= lam
-            b[i][i] -= lam
-        pa, pb = a, b
-        for k in range(1, mult):
-            if k > 1:
-                pa = linalg.mat_mul(pa, a)
-                pb = linalg.mat_mul(pb, b)
-            if linalg.rank(pa) != linalg.rank(pb):
-                return False
+        if any(r != s for r, s in zip(_rank_sequence(x, lam, mult), _rank_sequence(y, lam, mult))):
+            return False
     return True
 
 
@@ -342,12 +348,25 @@ def matrix_to_json(x: SlnElement) -> dict:
     return {"n": x.n, "entries": [[str(v) for v in row] for row in x.entries]}
 
 
+def _json_entry(v) -> Fraction:
+    # a JSON float has lost its exact value in binary by now, and a boolean is not a number
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f'matrix entries must be integers or strings like "1/2", got {json.dumps(v)}')
+    return Fraction(v)
+
+
 def matrix_from_json(obj) -> SlnElement:
+    """Read {"n": ..., "entries": [[...]]}: n an integer, each entry an integer or a string "p" or "p/q"."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError('matrix JSON must be {"n": ..., "entries": [[...]]}')
-    x = SlnElement.from_rows(obj["entries"])
-    if x.n != int(obj["n"]):
-        raise ValueError(f'entry shape {x.n} disagrees with declared n = {obj["n"]}')
+    n, rows = obj["n"], obj["entries"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {json.dumps(n)}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("entries must be a list of rows, each a list")
+    x = SlnElement.from_rows([[_json_entry(v) for v in row] for row in rows])
+    if x.n != n:
+        raise ValueError(f"entry shape {x.n} disagrees with declared n = {n}")
     return x

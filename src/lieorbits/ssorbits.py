@@ -104,21 +104,25 @@ def root_value(rs: RootSystem, h: TorusElement, r: Root) -> GaussianRational:
     return _value_on(simple_values(rs, h), r)
 
 
-def _first_violation(rs: RootSystem, h: TorusElement) -> tuple[int, GaussianRational] | None:
-    for i, v in enumerate(simple_values(rs, h), start=1):
+def _first_violation(vals: tuple[GaussianRational, ...]) -> tuple[int, GaussianRational] | None:
+    for i, v in enumerate(vals, start=1):
         if v.re < 0 or (v.re == 0 and v.im < 0):
             return i, v
     return None
 
 
+def _vanishing(vals: tuple[GaussianRational, ...]) -> frozenset[int]:
+    return frozenset(i for i, v in enumerate(vals, start=1) if v.is_zero())
+
+
 def in_fundamental_domain(rs: RootSystem, h: TorusElement) -> bool:
     """Exact test: Re(alpha(h)) >= 0 for simple alpha, and Im >= 0 on Re = 0 walls."""
-    return _first_violation(rs, h) is None
+    return _first_violation(simple_values(rs, h)) is None
 
 
 def pi_of_h(rs: RootSystem, h: TorusElement) -> frozenset[int]:
     """Indices of the simple roots vanishing exactly on h."""
-    return frozenset(i for i, v in enumerate(simple_values(rs, h), start=1) if v.is_zero())
+    return _vanishing(simple_values(rs, h))
 
 
 def centralizer_root_set(rs: RootSystem, h: TorusElement) -> tuple[Root, ...]:
@@ -129,30 +133,30 @@ def centralizer_root_set(rs: RootSystem, h: TorusElement) -> tuple[Root, ...]:
     """
     vals = simple_values(rs, h)
     out = tuple([r for r in rs.roots if _value_on(vals, r).is_zero()])
-    if in_fundamental_domain(rs, h):
-        levi = parabolic_data(rs, pi_of_h(rs, h)).delta_s
+    if _first_violation(vals) is None:
+        levi = parabolic_data(rs, _vanishing(vals)).delta_s
         if set(out) != set(levi):
             raise RuntimeError("vanishing roots differ from the Levi root set inside D")
     return out
 
 
-def _require_in_domain(rs: RootSystem, h: TorusElement):
-    violation = _first_violation(rs, h)
+def _pi_in_domain(rs: RootSystem, h: TorusElement) -> frozenset[int]:
+    """Pi(h), read off one evaluation of the simple values; raises outside the domain."""
+    vals = simple_values(rs, h)
+    violation = _first_violation(vals)
     if violation is not None:
         raise FundamentalDomainError(*violation)
+    return _vanishing(vals)
 
 
 def ss_orbit_dim(rs: RootSystem, h: TorusElement) -> int:
     """Orbit dimension |roots| - |Levi roots of Pi(h)|; requires h in the domain."""
-    _require_in_domain(rs, h)
-    pd = parabolic_data(rs, pi_of_h(rs, h))
-    return len(rs.roots) - len(pd.delta_s)
+    return len(rs.roots) - len(parabolic_data(rs, _pi_in_domain(rs, h)).delta_s)
 
 
 def is_regular_semisimple(rs: RootSystem, h: TorusElement) -> bool:
     """Full-dimensional orbit: no simple root vanishes on h."""
-    _require_in_domain(rs, h)
-    return not pi_of_h(rs, h)
+    return not _pi_in_domain(rs, h)
 
 
 @dataclass(frozen=True)
@@ -212,10 +216,10 @@ def verify_dual_parabolic(rs: RootSystem, subset) -> DualParabolicReport:
 
 def compactification_dims(rs: RootSystem, h: TorusElement) -> tuple[int, int, int]:
     """(orbit dim, dim G/P, dim G/P*) for h in the domain; the first is twice the second."""
-    _require_in_domain(rs, h)
-    s = pi_of_h(rs, h)
-    dim_orbit = ss_orbit_dim(rs, h)
-    dim_gp = parabolic_data(rs, s).dim_u
+    s = _pi_in_domain(rs, h)
+    pd = parabolic_data(rs, s)
+    dim_orbit = len(rs.roots) - len(pd.delta_s)
+    dim_gp = pd.dim_u
     dim_gp_star = parabolic_data(rs, dual_subset(rs, s)).dim_u
     if dim_orbit != 2 * dim_gp or dim_gp != dim_gp_star:
         raise RuntimeError("dimension identity failed; this contradicts the dual-parabolic count")

@@ -1,7 +1,8 @@
 """Seeded random generators and slow oracles shared by the test modules.
 
 All samples are exact rational matrices.  Conjugation uses products of
-integer shear matrices, so inverses are exact and determinants are 1.
+integer shear matrices, so inverses are exact and determinants are 1; the
+shears and the conjugation use their own arithmetic, not linalg's products.
 """
 
 from __future__ import annotations
@@ -22,21 +23,28 @@ def rand_traceless(rng: random.Random, n: int, bound: int = 4) -> SlnElement:
     return SlnElement.from_rows(rows)
 
 
+def plain_mul(a, b):
+    """The matrix product by sums of products, sharing no code with linalg.mat_mul."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
 def rand_unimodular(rng: random.Random, n: int, shears: int | None = None):
-    """A product of integer shears and its exact inverse."""
-    g = linalg.identity(n)
-    gi = linalg.identity(n)
+    """A product of integer shears and its exact inverse.
+
+    Each shear I + c E_ij acts on g from the right (column j += c column i)
+    and its inverse I - c E_ij on gi from the left (row i -= c row j).
+    """
+    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    gi = [row[:] for row in g]
     for _ in range(shears if shears is not None else 2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         c = rng.randint(-2, 2)
         if i == j or c == 0:
             continue
-        e = linalg.identity(n)
-        e[i][j] = Fraction(c)
-        einv = linalg.identity(n)
-        einv[i][j] = Fraction(-c)
-        g = linalg.mat_mul(g, e)
-        gi = linalg.mat_mul(einv, gi)
+        for row in g:
+            row[j] += c * row[i]
+        gi[i] = [x - c * y for x, y in zip(gi[i], gi[j])]
     return g, gi
 
 
@@ -46,7 +54,7 @@ def ad_nullity(x: SlnElement) -> int:
 
 
 def conjugate(g, gi, x: SlnElement) -> SlnElement:
-    return SlnElement.from_rows(linalg.mat_mul(g, linalg.mat_mul(x.to_matrix(), gi)))
+    return SlnElement.from_rows(plain_mul(g, plain_mul(x.to_matrix(), gi)))
 
 
 def rand_partition(rng: random.Random, n: int) -> Partition:

@@ -281,6 +281,34 @@ def test_malformed_matrix_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, bad",
+    [
+        ({"n": 2, "entries": [[0.1, 0], [0, -0.1]]}, "0.1"),  # would read as 3602879701896397/36028797018963968
+        ({"n": 2, "entries": [[0, True], [0, 0]]}, "true"),
+        ({"n": 2, "entries": [["0", "1"], [None, "0"]]}, "null"),
+        ({"n": 2.5, "entries": [["0", "1"], ["0", "0"]]}, "2.5"),
+        ({"n": True, "entries": [["0"]]}, "true"),
+        ({"n": "2", "entries": [["0", "1"], ["0", "0"]]}, '"2"'),
+        ({"n": 2, "entries": ["01", "00"]}, "list of rows"),
+    ],
+)
+def test_matrix_entries_must_be_exact(capsys, tmp_path, matrix, bad):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    code, out = run(capsys, ["jordan", "--matrix", str(path)])
+    assert code == 2
+    error = one_json_line(out)["error"]
+    assert error.startswith("malformed matrix JSON") and bad in error
+
+
+def test_matrix_entries_may_be_ints_or_rational_strings(capsys, tmp_path):
+    path = write_matrix(tmp_path, "m.json", 2, [[3, "1/2"], ["-7/3", -3]])
+    code, out = run(capsys, ["phi", "--matrix", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "coeffs": ["-47/6"]}  # det = -9 + 7/6
+
+
 def test_rank_and_poset_limits(capsys):
     code, out = run(capsys, ["w0", "--type", "A", "--rank", "40"])
     assert code == 0 and json.loads(out)["length"] == 40 * 41 // 2

@@ -195,6 +195,59 @@ def test_rref_solve_inverse_against_sympy(system):
     assert all(type(x) is Fraction for row in [sol] + inv for x in row)
 
 
+def products():
+    # (a, b): r-by-k times k-by-c with r, k, c in 0..5; entries mix ints and
+    # Fractions, and the zeros and ones make some rows sparse.  A k-by-0 b is
+    # k empty rows; with k = 0, b = [] has no rows to carry a width, so c = 0.
+    entry = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6), st.sampled_from([0, 1])
+    )
+
+    def pair(r, k, c):
+        c = c if k else 0
+        return st.tuples(
+            st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r),
+            st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k),
+        )
+
+    return st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(lambda d: pair(*d))
+
+
+def jordan_power(parts, k):
+    # J_parts^k as 0/1 ints, built by index: ones k places above the diagonal inside each block
+    n = sum(parts)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for p in parts:
+        for i in range(p - k):
+            rows[off + i][off + i + k] = 1
+        off += p
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(products())
+@example((jordan_power((4, 2), 1), jordan_power((4, 2), 2)))  # sparse 0/1 powers, as in closure_leq_rank
+@example((jordan_power((3, 3, 1), 2), [[Fraction(1, 2)] * 7] * 7))
+@example(([], [[1, 2]]))  # no rows
+@example(([[1], [2]], [[]]))  # no columns
+@example(([[], [], []], []))  # no inner dimension
+@example(([[0, 0], [0, 0]], [[Fraction(3, 4), 1], [2, Fraction(-1, 3)]]))  # zero left factor
+def test_mat_mul_and_mat_vec_against_sympy(pair):
+    a, b = pair
+    r, k, c = len(a), len(b), len(b[0]) if b else 0
+    expected = from_sympy(sympy.Matrix(r, k, [sympy.Rational(x) for row in a for x in row]) * to_sympy(b))
+    got = linalg.mat_mul(a, b)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+    if not k:
+        assert linalg.mat_vec(a, []) == [Fraction(0)] * r
+    for j in range(c):
+        column = linalg.mat_vec(a, [row[j] for row in b])
+        assert column == [row[j] for row in expected]
+        assert all(type(x) is Fraction for x in column)
+
+
 def test_poly_divmod_reconstructs():
     rng = random.Random(13)
     for _ in range(60):

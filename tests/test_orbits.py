@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -67,6 +69,17 @@ def test_dominance_is_a_partial_order():
                 assert dominance_leq(x, z)
 
 
+def test_partitions_leave_no_reference_cycle():
+    # the partitions must be freed as soon as the caller drops them, not at the
+    # next run of the cyclic garbage collector
+    gc.disable()
+    try:
+        ref = weakref.ref(partitions(6)[-1])
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_transpose():
     assert transpose(Partition((5,))).parts == (1,) * 5
     assert transpose(Partition((2, 1, 1))).parts == (3, 1)
@@ -97,6 +110,13 @@ def test_orbit_dim_partition_examples():
         assert orbit_dim_partition(regular_orbit(n)) == n * n - n
         assert orbit_dim_partition(minimal_orbit(n)) == 2 * n - 2
     assert orbit_dim_partition(Partition((2, 1, 1))) == 6
+
+
+def test_orbit_dim_partition_against_transpose_form():
+    # n^2 minus the squared column lengths of the Young diagram, via transpose
+    for n in range(1, 16):
+        for p in partitions(n):
+            assert orbit_dim_partition(p) == n * n - sum(t * t for t in transpose(p).parts)
 
 
 def test_orbit_dim_against_ad_nullity_oracle():

@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from helpers import (
     ad_nullity,
     conjugate,
+    plain_mul,
     rand_jordan_type,
     rand_nilpotent,
     rand_partition,
@@ -30,6 +31,7 @@ from lieorbits.orbits import partitions
 from lieorbits.sln import (
     IrrationalSpectrumError,
     SlnElement,
+    _rank_sequence,
     ad_matrix,
     basis_matrices,
     bracket,
@@ -45,6 +47,7 @@ from lieorbits.sln import (
     matrix_from_json,
     matrix_to_json,
     orbit_dim,
+    rational_eigenvalues,
     same_orbit,
     trace_power,
 )
@@ -62,11 +65,6 @@ def E(n, i, j):
 
 # Oracles below use their own products and basis; they share no code with the
 # fraction-free paths of ad_matrix, kks_matrix, is_nilpotent and same_orbit.
-
-
-def plain_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def plain_commutator(a, b):
@@ -410,6 +408,67 @@ def test_invariant_factors_against_sympy_and_ad_nullity(m):
     assert all(type(c) is Fraction for f in factors for c in f)
     x = SlnElement.from_rows(m)
     assert centralizer_dim(x) == ad_nullity(x)
+
+
+def scalar(n, c):
+    return [[Fraction(c if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (scalar(4, 0), [[0, 1]] * 4),  # the zero matrix
+        (scalar(3, Fraction(-5, 2)), [["5/2", 1]] * 3),  # scalar diagonal
+        # derogatory nilpotent with three equal blocks J_2, conjugated
+        (structured_matrix([("jordan", (0, 2))] * 3, SHEARS), [[0, 0, 1]] * 3),
+        (companion((5, -2, 0, 0, 1)), [[5, -2, 0, 0, 1]]),  # t^4 - 2t + 5
+    ],
+)
+def test_invariant_factors_special_cases(m, expected):
+    factors = linalg.invariant_factors(m)
+    assert factors == [[Fraction(c) for c in f] for f in expected] == invariant_factors_by_sympy(m)
+
+
+@st.composite
+def rational_jordan_matrices(draw):
+    block = st.tuples(st.just("jordan"), st.tuples(st.integers(-2, 2), st.integers(1, 4)))
+    blocks, size = [], 0
+    for b in draw(st.lists(block, min_size=1, max_size=5)):
+        if size + b[1][1] <= 6:
+            blocks.append(b)
+            size += b[1][1]
+    shear = st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-2, -1, 1, 2]))
+    return structured_matrix(blocks, draw(st.lists(shear, max_size=8)))
+
+
+def jordan_type_by_sympy(m):
+    # {eigenvalue: block sizes, decreasing} read off the diagonal and superdiagonal of J
+    _, j = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]).jordan_form()
+    out, start = {}, 0
+    for i in range(j.rows):
+        if i + 1 == j.rows or j[i, i + 1] == 0:
+            lam = Fraction(int(j[i, i].p), int(j[i, i].q))
+            out.setdefault(lam, []).append(i + 1 - start)
+            start = i + 1
+    return {lam: sorted(sizes, reverse=True) for lam, sizes in out.items()}
+
+
+def jordan_type_by_ranks(x):
+    # blocks of size >= k at lam number rank^(k-1) - rank^k, with rank^0 = n and rank^mult = n - mult
+    out = {}
+    for lam, mult in rational_eigenvalues(x).items():
+        ranks = [x.n] + list(_rank_sequence(x, lam, mult)) + [x.n - mult]
+        at_least = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
+        out[lam] = [k for k in range(mult, 0, -1) for _ in range(at_least[k - 1] - (at_least[k] if k < mult else 0))]
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rational_jordan_matrices())
+@example(structured_matrix([("jordan", (1, 3)), ("jordan", (1, 1)), ("jordan", (-1, 2))], SHEARS))
+@example(structured_matrix([("jordan", (0, 2))] * 3, SHEARS))
+def test_same_orbit_jordan_type_against_sympy(m):
+    assert jordan_type_by_ranks(SlnElement.from_rows(m)) == jordan_type_by_sympy(m)
 
 
 def test_same_orbit_examples():
