@@ -3,8 +3,8 @@
 The minimal nonzero nilpotent orbit is the orbit of a highest-root vector;
 its projectivization is the flag variety of the parabolic attached to the
 simple roots orthogonal to the maximal root.  Everything here is dimension
-and root-set bookkeeping: orthogonality is tested exactly with the
-symmetrized Cartan form (any rescaling of the form gives the same set), and
+and root-set bookkeeping: alpha_i is orthogonal to theta exactly when the
+integer pairing <theta, alpha_i^vee> read off the Cartan matrix is zero, and
 the orbit dimension exceeds the projectivization by one for the scaling
 direction.
 """
@@ -18,7 +18,7 @@ from .rootsys import (
     Root,
     RootSystem,
     build_root_system,
-    inner_product,
+    coroot_pairing,
     maximal_root,
     parabolic_data,
 )
@@ -37,17 +37,7 @@ class MinOrbitReport:
 def min_orbit_report(rs: RootSystem) -> MinOrbitReport:
     """Compute the minimal-orbit data from the root system alone."""
     theta = maximal_root(rs)
-    unit = lambda i: tuple([1 if j == i - 1 else 0 for j in range(rs.rank)])  # noqa: E731
-    pi_theta = frozenset(
-        i for i in range(1, rs.rank + 1) if inner_product(rs, unit(i), theta.coeffs) == 0
-    )
-    # <theta, alpha_i^vee> = sum_j theta_j a_ji, from the Cartan matrix without the symmetrizer
-    a = rs.cartan_matrix
-    pairing_route = frozenset(
-        i for i in range(1, rs.rank + 1) if sum([c * a[j][i - 1] for j, c in enumerate(theta.coeffs)]) == 0
-    )
-    if pi_theta != pairing_route:
-        raise RuntimeError("orthogonality must not depend on the normalization of the form")
+    pi_theta = frozenset(i for i in range(1, rs.rank + 1) if coroot_pairing(rs, i, theta.coeffs) == 0)
     dim_p_omin = parabolic_data(rs, pi_theta).dim_u
     return MinOrbitReport(
         theta=theta,

@@ -11,10 +11,10 @@ coordinates) and the dominant representative of a real torus element (it
 walks the simple-root values), and simple_root_values is the one product
 of the Cartan matrix with coroot coordinates.
 
-The inner product is the symmetrized Cartan form normalized so that long
-roots have squared length 2.  Every quantity exposed here (coroot pairings,
-orthogonality, weight order) is invariant under rescaling that form, so the
-choice of normalization never leaks into results.
+Every root pairing <v, alpha_i^vee> = sum_j v_j a_ji is column i of the
+Cartan matrix against v, in integers.  It gives the simple reflections,
+coroot_pairing and orthogonality to a root, so no invariant form is needed
+and Fractions appear only in torus coordinates.
 """
 
 from __future__ import annotations
@@ -84,16 +84,13 @@ class RootSystem:
     """Full root data for one Cartan type.
 
     cartan_matrix[i][j] is the pairing of simple root i+1 against simple
-    coroot j+1, so row i holds alpha_(i+1) in fundamental-weight coordinates;
-    symmetrizer[j] is half the squared length of simple root j+1, so that
-    (alpha_i, alpha_j) = symmetrizer[j] * cartan_matrix[i][j].
+    coroot j+1, so row i holds alpha_(i+1) in fundamental-weight coordinates.
     """
 
     ctype: CartanType
     cartan_matrix: tuple[Coeffs, ...]
     roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
-    symmetrizer: tuple[Fraction, ...]
     root_index: frozenset[Coeffs] = field(repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
@@ -177,29 +174,19 @@ def _cartan_matrix(ctype: CartanType) -> tuple[Coeffs, ...]:
     return tuple([tuple(row) for row in a])
 
 
-def _symmetrizer(cartan: tuple[Coeffs, ...]) -> tuple[Fraction, ...]:
-    """Diagonal weights d with d[j]*A[i][j] symmetric, normalized to max 1."""
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                stack.append(j)
-    if any(x is None for x in d):
-        raise ValueError("disconnected Cartan matrix")
-    top = max(d)  # type: ignore[type-var]
-    return tuple([x / top for x in d])  # type: ignore[operator, union-attr]
+def _pairing(cartan, i0: int, v):
+    """<v, alpha_(i0+1)^vee>: column i0 of the Cartan matrix against v."""
+    total = 0
+    for j, c in enumerate(v):
+        if c:
+            total += c * cartan[j][i0]
+    return total
 
 
 def _reflect_coeffs(cartan, i0: int, v):
     """Apply the simple reflection at 0-based index i0 to a coefficient vector."""
-    pairing = sum(v[j] * cartan[j][i0] for j in range(len(v)))
     w = list(v)
-    w[i0] = w[i0] - pairing
+    w[i0] -= _pairing(cartan, i0, v)
     return tuple(w)
 
 
@@ -232,7 +219,6 @@ def build_root_system(ctype: CartanType) -> RootSystem:
         cartan_matrix=cartan,
         roots=roots,
         positive_roots=positive,
-        symmetrizer=_symmetrizer(cartan),
     )
 
 
@@ -242,23 +228,9 @@ def _check_index(rs: RootSystem, i: int) -> int:
     return i - 1
 
 
-def inner_product(rs: RootSystem, u, v) -> Fraction:
-    """Symmetrized Cartan form on simple-root coordinates (long roots have length^2 = 2)."""
-    a, d = rs.cartan_matrix, rs.symmetrizer
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    total += ui * vj * d[j] * a[i][j]
-    return total
-
-
-def coroot_pairing(rs: RootSystem, i: int, v) -> Fraction:
-    """2<alpha_i, v>/<alpha_i, alpha_i>; the Cartan integer when v is simple."""
-    i0 = _check_index(rs, i)
-    unit = tuple([1 if j == i0 else 0 for j in range(rs.rank)])
-    return 2 * inner_product(rs, unit, v) / inner_product(rs, unit, unit)
+def coroot_pairing(rs: RootSystem, i: int, v) -> int:
+    """<v, alpha_i^vee> = sum_j v_j a_ji, in the ring of v; the Cartan integer a_ji when v is alpha_j."""
+    return _pairing(rs.cartan_matrix, _check_index(rs, i), v)
 
 
 def simple_root_values(rs: RootSystem, coords) -> tuple:
@@ -299,8 +271,8 @@ def weight_leq(rs: RootSystem, beta, gamma) -> bool:
     if len(beta) != rs.rank or len(gamma) != rs.rank:
         raise ValueError("vectors must have length equal to the rank")
     for b, g in zip(beta, gamma):
-        diff = Fraction(g) - Fraction(b)
-        if diff.denominator != 1 or diff < 0:
+        diff = g - b
+        if diff < 0 or diff.denominator != 1:
             return False
     return True
 

@@ -195,9 +195,7 @@ def verify_dual_parabolic(rs: RootSystem, subset) -> DualParabolicReport:
     w0_ok = image == set(pd_s.delta_s_plus)
 
     p_s_roots = set(rs.positive_roots) | set(pd_s.delta_s_minus)
-    p_dual_roots = {apply_word_root(rs, w0, r) for r in rs.positive_roots} | {
-        apply_word_root(rs, w0, r) for r in pd_sv.delta_s_minus
-    }
+    p_dual_roots = {apply_word_root(rs, w0, r) for r in rs.positive_roots} | image
     inter = p_s_roots & p_dual_roots
     inter_ok = inter == set(pd_s.delta_s)
     ordered = tuple(sorted(inter, key=lambda r: (r.height, r.coeffs)))

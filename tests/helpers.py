@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from lieorbits import linalg
 from lieorbits.orbits import Partition, jordan_matrix, partitions
-from lieorbits.rootsys import RootSystem, coroot_pairing
+from lieorbits.rootsys import RootSystem
 from lieorbits.sln import SlnElement, ad_matrix
 
 
@@ -101,20 +101,48 @@ def rand_jordan_type(rng: random.Random, n: int) -> SlnElement:
     return conjugate(g, gi, SlnElement.from_rows(rows))
 
 
+def symmetrized_form(rs: RootSystem):
+    """The invariant form on simple-root coordinates, long roots of squared length 2: the oracle.
+
+    Returns form(u, v) = sum u_i v_j d_j a_ij, with d_j half the squared
+    length of alpha_j.  d spreads along the Dynkin diagram by d_j a_ij = d_i a_ji
+    from d_1 = 1 and is then scaled to maximum 1.
+    """
+    a = rs.cartan_matrix
+    d = {0: Fraction(1)}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rs.rank):
+            if j not in d and a[i][j]:
+                d[j] = d[i] * a[j][i] / a[i][j]
+                stack.append(j)
+    top = max(d.values())
+    d = {j: x / top for j, x in d.items()}
+
+    def form(u, v) -> Fraction:
+        return sum((x * y * d[j] * a[i][j] for i, x in enumerate(u) if x for j, y in enumerate(v) if y), Fraction(0))
+
+    return form
+
+
 def longest_word_by_rho(rs: RootSystem) -> tuple[int, ...]:
     """Letters of w0 from the Fraction walk of rho in simple-root coordinates: the slow oracle.
 
     rho is half the sum of the positive roots; each step reflects at the least
-    index whose coroot pairing, taken through the symmetrized form, is positive.
+    index whose coroot pairing 2(alpha_i, rho)/(alpha_i, alpha_i), taken through
+    the symmetrized form, is positive.
     """
     v = [Fraction(0)] * rs.rank
     for r in rs.positive_roots:
         for j, c in enumerate(r.coeffs):
             v[j] += Fraction(c, 2)
+    form = symmetrized_form(rs)
+    units = [[int(j == i) for j in range(rs.rank)] for i in range(rs.rank)]
     letters = []
     for _ in range(rs.num_positive + 1):
-        for i in range(1, rs.rank + 1):
-            pairing = coroot_pairing(rs, i, v)
+        for i, e in enumerate(units, start=1):
+            pairing = 2 * form(e, v) / form(e, e)
             if pairing > 0:
                 v[i - 1] -= pairing
                 letters.append(i)

@@ -1,6 +1,5 @@
 import pytest
 
-from lieorbits import minorbit, rootsys
 from lieorbits.minorbit import min_orbit_report, type_a_flag_check
 from lieorbits.orbits import hasse_diagram, minimal_orbit, orbit_dim_partition
 from lieorbits.rootsys import CartanType, build_root_system, weight_leq
@@ -46,18 +45,6 @@ def test_type_a_cross_module_consistency():
         assert rep.pi_theta == frozenset(range(2, n - 1))
     with pytest.raises(ValueError):
         type_a_flag_check(2)
-
-
-def test_wrong_symmetrized_form_fails_the_self_check(monkeypatch):
-    # the plain dot product of simple-root coordinates is not the invariant
-    # form; the Cartan pairing must disagree with it on orthogonality to theta
-    def dot(rs, u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    monkeypatch.setattr(rootsys, "inner_product", dot)
-    monkeypatch.setattr(minorbit, "inner_product", dot)
-    with pytest.raises(RuntimeError, match="normalization of the form"):
-        min_orbit_report(build_root_system(CartanType("A", 4)))
 
 
 def test_min_orbit_covers_only_zero_in_type_a():

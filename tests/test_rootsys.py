@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import longest_word_by_rho
+from helpers import longest_word_by_rho, symmetrized_form
 
+from lieorbits.minorbit import min_orbit_report
 from lieorbits.rootsys import (
     CartanType,
     Root,
@@ -78,6 +79,8 @@ def test_weight_leq_examples():
     assert not weight_leq(a2, (1, 0), (0, 1))
     # non-integral differences do not compare
     assert not weight_leq(a2, (Fraction(1, 2), 0), (1, 0))
+    assert weight_leq(a2, (Fraction(1, 2), 0), (Fraction(3, 2), 1))
+    assert not weight_leq(a2, (Fraction(3, 2), 0), (Fraction(1, 2), 1))
 
 
 def test_maximal_root_examples():
@@ -106,6 +109,23 @@ def test_coroot_pairing_examples():
         for i in range(1, 3):
             for j in range(1, 3):
                 assert coroot_pairing(rs, j, unit(2, i)) == rs.cartan_matrix[i - 1][j - 1]
+    with pytest.raises(IndexError):
+        coroot_pairing(a2, 3, (1, 0))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_coroot_pairing_and_pi_theta_against_the_form(family, rank):
+    # the oracle is the symmetrized invariant form, which shares no pairing code with src
+    rs = build_root_system(CartanType(family, rank))
+    form = symmetrized_form(rs)
+    units = [unit(rank, i) for i in range(1, rank + 1)]
+    for r in rs.roots:
+        for i, e in enumerate(units, start=1):
+            pairing = coroot_pairing(rs, i, r.coeffs)
+            assert type(pairing) is int
+            assert pairing == 2 * form(e, r.coeffs) / form(e, e)
+    rep = min_orbit_report(rs)
+    assert rep.pi_theta == {i for i, e in enumerate(units, start=1) if form(e, rep.theta.coeffs) == 0}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)])
