@@ -41,7 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 # keyed by qualified class name, so that looking up a hint imports nothing
 _DOMAIN_HINTS = {
-    "lieorbits.ssorbits.FundamentalDomainError": "use a dominant h; real h can be reduced via the library",
     "lieorbits.sln.IrrationalSpectrumError": "conjugacy testing supports rational eigenvalues only",
 }
 

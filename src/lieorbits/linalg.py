@@ -32,10 +32,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def mat_from(rows) -> Matrix:
-    return [[frac(x) for x in row] for row in rows]
-
-
 def zeros(r: int, c: int) -> Matrix:
     return [[Fraction(0)] * c for _ in range(r)]
 

@@ -1,7 +1,8 @@
 """Abstract root systems for the simple Cartan types A through G.
 
-Roots are integer coefficient vectors over the simple roots, generated by
-breadth-first closure of the simple roots under the simple reflections.
+Roots are integer coefficient vectors over the simple roots.  The positive
+roots are generated height by height through root strings, each carrying its
+pairings with the simple coroots; the negative roots are their negatives.
 Simple-root indices are 1-based throughout the public API (Bourbaki
 numbering, with the branch node of E-types numbered 2).
 
@@ -191,34 +192,37 @@ def _reflect_coeffs(cartan, i0: int, v):
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:
-    """Generate the complete root system by reflection closure of the simple roots."""
+    """Generate the positive roots height by height, then the negatives.
+
+    Each root carries its pairings with the simple coroots: alpha_i starts with
+    row i of the Cartan matrix, and adding alpha_i adds row i.  Root strings are
+    unbroken (Humphreys, Introduction to Lie Algebras, 9.4), so beta + alpha_i
+    is a root iff beta - k alpha_i is one for k = 1..<beta, alpha_i^vee> + 1.
+    """
     n = ctype.rank
     cartan = _cartan_matrix(ctype)
-    seen: set[Coeffs] = set()
-    frontier: list[Coeffs] = []
-    for i in range(n):
-        unit = tuple([1 if j == i else 0 for j in range(n)])
-        seen.add(unit)
-        frontier.append(unit)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(n):
-                w = _reflect_coeffs(cartan, i, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    ordered = sorted(seen, key=lambda c: (sum(c), c))
-    roots = tuple([Root(c) for c in ordered])
-    positive = tuple([r for r in roots if r.is_positive])
-    if len(roots) != 2 * len(positive):
-        raise RuntimeError("root generation lost the plus/minus symmetry")
+    level = {tuple([int(j == i) for j in range(n)]): cartan[i] for i in range(n)}
+    found: set[Coeffs] = set()
+    positive: list[Root] = []
+    while level:
+        ordered = sorted(level)
+        found.update(ordered)
+        positive += [Root(c) for c in ordered]
+        nxt: dict[Coeffs, Coeffs] = {}
+        for beta in ordered:
+            pairings = level[beta]
+            for i, p in enumerate(pairings):
+                if p >= beta[i]:
+                    continue  # the alpha_i-string below beta has at most beta[i] roots
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if up not in nxt and all(beta[:i] + (beta[i] - k,) + beta[i + 1 :] in found for k in range(1, p + 2)):
+                    nxt[up] = tuple([x + a for x, a in zip(pairings, cartan[i])])
+        level = nxt
     return RootSystem(
         ctype=ctype,
         cartan_matrix=cartan,
-        roots=roots,
-        positive_roots=positive,
+        roots=tuple([-r for r in reversed(positive)] + positive),
+        positive_roots=tuple(positive),
     )
 
 
@@ -304,6 +308,8 @@ def longest_element(rs: RootSystem) -> ReducedWord:
 
 
 def apply_word_root(rs: RootSystem, word: ReducedWord, r: Root) -> Root:
+    _check_index(rs, min(word.letters, default=1))
+    _check_index(rs, max(word.letters, default=1))
     coeffs = r.coeffs
     for i in word.letters:
         coeffs = _reflect_coeffs(rs.cartan_matrix, i - 1, coeffs)
@@ -363,7 +369,7 @@ def solve_coroot_coords(rs: RootSystem, values) -> RatVector:
     """Coordinates over the simple coroots of the element with given simple-root values."""
     from . import linalg
 
-    a = linalg.mat_from(rs.cartan_matrix)
+    a = [list(row) for row in rs.cartan_matrix]
     return tuple(linalg.solve(a, [linalg.frac(v) for v in values]))
 
 

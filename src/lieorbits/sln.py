@@ -98,27 +98,6 @@ def _same_n(x: SlnElement, y: SlnElement):
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
-def elementary(n: int, i: int, j: int) -> Matrix:
-    m = linalg.zeros(n, n)
-    m[i][j] = Fraction(1)
-    return m
-
-
-def basis_matrices(n: int) -> list[Matrix]:
-    """The fixed basis of the traceless matrices, as plain matrices."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out.append(elementary(n, i, j))
-    for i in range(n - 1):
-        m = linalg.zeros(n, n)
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
-        out.append(m)
-    return out
-
-
 def coords_in_basis(m: Matrix) -> list[Fraction]:
     """Coordinates of a traceless matrix over the fixed basis."""
     n = len(m)

@@ -4,7 +4,9 @@ Covers three constructions: the bracket-relation checker for concrete matrix
 triples, the principal triple attached to any root system (the torus element
 evaluating to 2 on every simple root, expressed over the simple coroots), and
 a constructive converse of the Jacobson-Morozov theorem for nilpotent
-traceless matrices, built from an exact Jordan chain basis.
+traceless matrices, built from an exact Jordan chain basis, which also gives
+the principal triple of sl_n from the regular nilpotent (Collingwood and
+McGovern, Nilpotent Orbits in Semisimple Lie Algebras, ch. 3).
 
 The abstract principal triple never materializes root vectors: the bracket
 relations reduce to the coefficient solve plus the fact that the difference
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .rootsys import Root, RootSystem, simple_root_values, solve_coroot_coords
-from .sln import SlnElement, bracket, is_nilpotent
+from .sln import SlnElement, bracket
 
 
 @dataclass(frozen=True)
@@ -94,27 +96,14 @@ def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
 
 
 def principal_triple_sln(n: int) -> MatrixTriple:
-    """The concrete principal triple in the traceless n-by-n matrices.
+    """The principal triple in the traceless n-by-n matrices: Jacobson-Morozov of the full superdiagonal.
 
-    x is the full superdiagonal, h the integer string n-1, n-3, ..., 1-n on
-    the diagonal, and y the subdiagonal with weights i(n-i).
+    Its chain basis is the identity, so h is the integer string n-1, n-3,
+    ..., 1-n on the diagonal and y the subdiagonal with weights i(n-i).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    x = [[Fraction(0)] * n for _ in range(n)]
-    y = [[Fraction(0)] * n for _ in range(n)]
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        x[i][i + 1] = Fraction(1)
-        y[i + 1][i] = Fraction((i + 1) * (n - i - 1))
-    for i in range(n):
-        h[i][i] = Fraction(n - 1 - 2 * i)
-    t = MatrixTriple(
-        x=SlnElement.from_rows(x), h=SlnElement.from_rows(h), y=SlnElement.from_rows(y)
-    )
-    if not verify_matrix_triple(t):
-        raise RuntimeError("principal triple construction violated the bracket relations")
-    return t
+    return jacobson_morozov_sln(SlnElement.from_rows([[int(j == i + 1) for j in range(n)] for i in range(n)]))
 
 
 def _standard_block_images(g: linalg.Matrix, sizes: list[int]) -> tuple[linalg.Matrix, linalg.Matrix, linalg.Matrix]:
@@ -143,19 +132,18 @@ def _standard_block_images(g: linalg.Matrix, sizes: list[int]) -> tuple[linalg.M
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     """Complete a nilpotent traceless matrix to an sl2-triple.
 
-    Builds a Jordan chain basis from the kernel filtration of the powers of
-    e.  Working down from the largest chain length k, the columns of one
-    matrix are the smaller kernel, the height-k layer of the chains already
-    chosen, and then the basis of ker(e^k); the new chain tops are the basis
-    vectors whose columns are rref pivot columns, i.e. the first ones
-    independent of everything before them (a deterministic choice).  The
-    standard triple for the resulting block sizes is then conjugated back
-    through the chain basis g, so the bracket relations hold exactly and h has
-    integer spectrum; g times a standard matrix is a column shift or scaling
-    of g, which leaves three products of matrices.
+    The powers of e decide nilpotency (ValueError if e^n is not zero) and give
+    a Jordan chain basis through the kernel filtration.  Working down from the
+    largest chain length k, the columns of one matrix are the smaller kernel,
+    the height-k layer of the chains already chosen, and then the basis of
+    ker(e^k); the new chain tops are the basis vectors whose columns are rref
+    pivot columns, i.e. the first ones independent of everything before them
+    (a deterministic choice).  The standard triple for the resulting block
+    sizes is then conjugated back through the chain basis g, so the bracket
+    relations hold exactly and h has integer spectrum; g times a standard
+    matrix is a column shift or scaling of g, which leaves three products of
+    matrices.
     """
-    if not is_nilpotent(e):
-        raise ValueError("input must be nilpotent")
     n = e.n
     a = e.to_matrix()
     if e.is_zero():
@@ -163,6 +151,8 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
         return MatrixTriple(x=e, h=z, y=z)
     powers = [linalg.identity(n), a]
     while not linalg.mat_is_zero(powers[-1]):
+        if len(powers) > n:  # e^n is not zero
+            raise ValueError("input must be nilpotent")
         powers.append(linalg.mat_mul(powers[-1], a))
     d = len(powers) - 1  # nilpotency index
     kernels = [[] if k == 0 else linalg.nullspace(powers[k]) for k in range(d + 1)]

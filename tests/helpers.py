@@ -167,3 +167,28 @@ def dominant_by_coroot_walk(rs: RootSystem, coords) -> list[Fraction]:
             return coords
         coords[i] -= vals[i]
     raise RuntimeError("coroot walk took more than |positive roots| steps")
+
+
+def roots_by_reflection_closure(cartan) -> tuple[list, list]:
+    """Every root by closure of the simple roots under the simple reflections: the slow oracle.
+
+    s_i sends v to v - <v, alpha_i^vee> alpha_i, with <v, alpha_i^vee> =
+    sum_j v_j cartan[j][i].  Returns the roots and the positive roots as
+    coefficient tuples, each ordered by height and then by coefficients.
+    """
+    n = len(cartan)
+    seen = {tuple([int(j == i) for j in range(n)]) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = list(v)
+                w[i] -= sum(v[j] * cartan[j][i] for j in range(n))
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    ordered = sorted(seen, key=lambda c: (sum(c), c))
+    return ordered, [c for c in ordered if sum(c) > 0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits import linalg, ssorbits
+from lieorbits import linalg
 from lieorbits.cli import main
 
 
@@ -127,14 +127,6 @@ def test_same_orbit(capsys, tmp_path, h2):
     code, out = run(capsys, ["same-orbit", "--matrix", irr, "--other", h2])
     assert code == 1
     assert one_json_line(out)["hint"] == "conjugacy testing supports rational eigenvalues only"
-
-
-def test_ssorbit_outside_the_domain_hint(capsys, monkeypatch):
-    # ssorbit asks in_fundamental_domain first, so force the domain-only path
-    monkeypatch.setattr(ssorbits, "in_fundamental_domain", lambda rs, h: True)
-    code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", "1,0"])
-    assert code == 1
-    assert one_json_line(out)["hint"] == "use a dominant h; real h can be reduced via the library"
 
 
 def test_same_orbit_with_huge_eigenvalues_is_bounded(capsys, tmp_path):

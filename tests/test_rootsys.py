@@ -1,14 +1,16 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import longest_word_by_rho, symmetrized_form
+from helpers import longest_word_by_rho, roots_by_reflection_closure, symmetrized_form
 
 from lieorbits.minorbit import min_orbit_report
 from lieorbits.rootsys import (
     CartanType,
+    ReducedWord,
     Root,
     apply_word_root,
     build_root_system,
@@ -57,6 +59,33 @@ def test_reflection_closure_and_sign_purity(family, rank):
         assert not (pos and neg) and (pos or neg)
         for i in range(1, rank + 1):
             assert rs.is_root(reflect_root(rs, i, r).coeffs)
+
+
+CLOSURE_TYPES = (
+    [(family, n) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
+def test_roots_by_height_equal_the_reflection_closure(family, rank):
+    rs = build_root_system(CartanType(family, rank))
+    roots, positive = roots_by_reflection_closure(rs.cartan_matrix)
+    assert [r.coeffs for r in rs.roots] == roots
+    assert [r.coeffs for r in rs.positive_roots] == positive
+
+
+def test_rank_40_roots_pinned():
+    # pinned from the reflection closure, which takes 0.3-0.7 s per type at rank 40
+    pinned = {
+        "A": "4f544fdb1c5a1da46b3d956272a3d94ee6c231497fcda5451a6fe73ccb377e40",
+        "B": "d38d70ecdccce9233bb5390e108f49ddcbd415ccee5423685b74196c5c938e9c",
+        "C": "6d832f87601f72a784d1d76a5aaaa6e8e0ec76ac2d7990b1bfb10021cb5ad1db",
+        "D": "0d80fd69159e71f0d3e9787a8fd6b07de29ededace0a0bc535cf7ec739e72992",
+    }
+    for family, want in pinned.items():
+        d = root_system_to_json(build_root_system(CartanType(family, 40)))
+        assert hashlib.sha256(json.dumps(d).encode()).hexdigest() == want
 
 
 def test_invalid_ranks_rejected():
@@ -168,6 +197,16 @@ def test_longest_element_small_words():
     assert longest_element(a1).letters == (1,)
     a2 = build_root_system(CartanType("A", 2))
     assert len(longest_element(a2)) == 3
+
+
+def test_apply_word_root_checks_its_letters():
+    a3 = build_root_system(CartanType("A", 3))
+    r = Root(unit(3, 1))
+    for bad in (0, -1, 4):
+        with pytest.raises(IndexError, match=rf"^simple-root index {bad} out of range 1\.\.3$"):
+            apply_word_root(a3, ReducedWord((1, bad, 2)), r)
+    assert apply_word_root(a3, ReducedWord(()), r) == r
+    assert apply_word_root(a3, ReducedWord((1, 3)), r) == -r
 
 
 def test_dual_subset():

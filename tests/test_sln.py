@@ -33,7 +33,6 @@ from lieorbits.sln import (
     SlnElement,
     _rank_sequence,
     ad_matrix,
-    basis_matrices,
     bracket,
     centralizer_dim,
     coords_in_basis,
@@ -172,7 +171,7 @@ def test_ad_matrix_against_brackets():
             x = rand_fraction_traceless(rng, n)
             ad = ad_matrix(x)
             # the old construction: one SlnElement bracket per basis element
-            cols = [coords_in_basis(bracket(x, SlnElement.from_rows(b)).to_matrix()) for b in basis_matrices(n)]
+            cols = [coords_in_basis(bracket(x, SlnElement.from_rows(b)).to_matrix()) for b in basis]
             assert ad == [[c[i] for c in cols] for i in range(len(cols))]
             # column j expands [x, b_j] over the basis
             for j, bj in enumerate(basis):
@@ -548,7 +547,7 @@ def test_kks_examples():
     # centralizer elements are in the radical of the pairing
     x = E(3, 1, 2)
     kernel = linalg.nullspace(ad_matrix(x))
-    basis = [SlnElement.from_rows(b) for b in basis_matrices(3)]
+    basis = [SlnElement.from_rows(b) for b in plain_basis(3)]
     for v in kernel:
         y = SlnElement.zero(3)
         for c, b in zip(v, basis):
@@ -564,7 +563,7 @@ def test_kks_matrix_rank_and_radical():
         n = rng.randint(2, 3)
         x = rng.choice((rand_traceless, rand_nilpotent, rand_jordan_type))(rng, n)
         m = kks_matrix(x)
-        basis = basis_cache.setdefault(n, [SlnElement.from_rows(b) for b in basis_matrices(n)])
+        basis = basis_cache.setdefault(n, [SlnElement.from_rows(b) for b in plain_basis(n)])
         # entry honesty against the three-argument form
         for i in (0, len(basis) - 1):
             for j in (0, len(basis) - 1):

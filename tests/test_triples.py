@@ -66,16 +66,19 @@ def test_kostant_coefficients_small_types():
 def test_principal_triple_sln():
     t2 = principal_triple_sln(2)
     assert (t2.x.entries, t2.h.entries, t2.y.entries) == (X.entries, H.entries, Y.entries)
-    t3 = principal_triple_sln(3)
-    assert [t3.h.entries[i][i] for i in range(3)] == [2, 0, -2]
-    assert [t3.y.entries[i + 1][i] for i in range(2)] == [2, 2]
     t4 = principal_triple_sln(4)
-    assert [t4.y.entries[i + 1][i] for i in range(3)] == [3, 4, 3]
     assert list(kostant_principal(build_root_system(CartanType("A", 3))).c) == [
         t4.y.entries[i + 1][i] for i in range(3)
     ]
-    for n in range(2, 9):
+    # x the full superdiagonal, h = diag(n-1, n-3, ..., 1-n), y the subdiagonal i(n-i)
+    for n in range(2, 13):
         t = principal_triple_sln(n)
+        x = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        h = [[n - 1 - 2 * i if j == i else 0 for j in range(n)] for i in range(n)]
+        y = [[i * (n - i) if j == i - 1 else 0 for j in range(n)] for i in range(n)]
+        assert [list(row) for row in t.x.entries] == x
+        assert [list(row) for row in t.h.entries] == h
+        assert [list(row) for row in t.y.entries] == y
         assert verify_matrix_triple(t)
         assert centralizer_dim(t.x) == n - 1 == centralizer_dim(t.h)
     with pytest.raises(ValueError):
@@ -102,6 +105,21 @@ def test_jacobson_morozov_examples():
     assert linalg.charpoly(t.h.to_matrix()) == [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
     with pytest.raises(ValueError):
         jacobson_morozov_sln(H)
+
+
+def test_jacobson_morozov_decides_nilpotency_by_its_powers(monkeypatch):
+    def refuse(a):
+        raise AssertionError("jacobson_morozov_sln called charpoly")
+
+    monkeypatch.setattr(linalg, "charpoly", refuse)
+    rng = random.Random(89)
+    for n in (2, 3, 4, 5, 6):
+        e = rand_nilpotent(rng, n)
+        assert verify_matrix_triple(jacobson_morozov_sln(e))
+    cycle = SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # cycle^3 = 1
+    for x in (H, cycle):
+        with pytest.raises(ValueError, match="^input must be nilpotent$"):
+            jacobson_morozov_sln(x)
 
 
 def integer_eigenvalue_multiset(m):
