@@ -96,9 +96,15 @@ def _parse_subset(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
     try:
-        return frozenset(int(t) for t in text.split(","))
+        indices = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"cannot parse subset {text!r}: {exc}", hint='write it like "1,3"') from exc
+    subset: set[int] = set()
+    for i in indices:
+        if i in subset:
+            raise _UsageError(f"subset {text!r} repeats index {i}", hint="list each index once")
+        subset.add(i)
+    return frozenset(subset)
 
 
 def _load_matrix(path: str) -> sln.SlnElement:

@@ -11,11 +11,10 @@ direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import (
     CartanType,
-    Root,
     RootSystem,
     build_root_system,
     coroot_pairing,
@@ -24,14 +23,10 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class MinOrbitReport:
+class MinOrbitReport(namedtuple("MinOrbitReport", "theta pi_theta dim_P_Omin dim_Omin")):
     """Maximal root, its orthogonal simple roots, and the two orbit dimensions."""
 
-    theta: Root
-    pi_theta: frozenset[int]
-    dim_P_Omin: int
-    dim_Omin: int
+    __slots__ = ()
 
 
 def min_orbit_report(rs: RootSystem) -> MinOrbitReport:

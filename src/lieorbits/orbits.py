@@ -11,26 +11,26 @@ so the diagram needs no pairwise dominance comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .sln import SlnElement
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive integers; labels one nilpotent orbit."""
+class Partition(namedtuple("Partition", "parts")):
+    """A tuple of weakly decreasing positive integers; labels one nilpotent orbit."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, parts: tuple[int, ...]):
+        if not parts:
             raise ValueError("a partition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        return tuple.__new__(cls, (parts,))
 
     @property
     def n(self) -> int:
@@ -40,8 +40,7 @@ class Partition:
         return "+".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(namedtuple("OrbitPoset", "n nodes covers")):
     """All partitions of n with the covering pairs of the dominance order.
 
     covers holds (lower_index, upper_index) pairs into nodes; nodes are in
@@ -49,9 +48,7 @@ class OrbitPoset:
     last index is the zero orbit (1,...,1).
     """
 
-    n: int
-    nodes: tuple[Partition, ...]
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def partitions(n: int) -> list[Partition]:

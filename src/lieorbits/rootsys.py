@@ -20,7 +20,7 @@ and Fractions appear only in torus coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 Coeffs = tuple[int, ...]
@@ -37,36 +37,36 @@ _RANK_CONSTRAINTS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(namedtuple("CartanType", "family rank")):
     """A simple Cartan family letter plus rank, validated on construction."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _RANK_CONSTRAINTS:
-            raise ValueError(f"unknown Cartan family {self.family!r}; expected one of A-G")
-        lo, hi = _RANK_CONSTRAINTS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANK_CONSTRAINTS:
+            raise ValueError(f"unknown Cartan family {family!r}; expected one of A-G")
+        lo, hi = _RANK_CONSTRAINTS[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else (f"= {lo}" if lo == hi else f"in {{{lo}..{hi}}}")
-            raise ValueError(f"family {self.family} requires rank {bound}, got {self.rank}")
+            raise ValueError(f"family {family} requires rank {bound}, got {rank}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self):
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "coeffs")):
     """An integer vector over the simple roots, uniformly signed and nonzero."""
 
-    coeffs: Coeffs
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not any(self.coeffs):
+    def __new__(cls, coeffs: Coeffs):
+        if not any(coeffs):
             raise ValueError("zero vector is not a root")
-        if any(c > 0 for c in self.coeffs) and any(c < 0 for c in self.coeffs):
-            raise ValueError(f"mixed-sign coefficients {self.coeffs} are not a root")
+        if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
+            raise ValueError(f"mixed-sign coefficients {coeffs} are not a root")
+        # tuple.__new__ directly: the generated namedtuple __new__ would be one more call per root
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def height(self) -> int:
@@ -80,23 +80,20 @@ class Root:
         return Root(tuple([-c for c in self.coeffs]))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", "ctype cartan_matrix roots positive_roots root_index")):
     """Full root data for one Cartan type.
 
     cartan_matrix[i][j] is the pairing of simple root i+1 against simple
     coroot j+1, so row i holds alpha_(i+1) in fundamental-weight coordinates.
+    root_index, the set of root coefficient vectors, is filled in when not given.
     """
 
-    ctype: CartanType
-    cartan_matrix: tuple[Coeffs, ...]
-    roots: tuple[Root, ...]
-    positive_roots: tuple[Root, ...]
-    root_index: frozenset[Coeffs] = field(repr=False, compare=False, default=frozenset())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.root_index:
-            object.__setattr__(self, "root_index", frozenset(r.coeffs for r in self.roots))
+    def __new__(cls, ctype, cartan_matrix, roots, positive_roots, root_index=None):
+        if not root_index:
+            root_index = frozenset(r.coeffs for r in roots)
+        return tuple.__new__(cls, (ctype, cartan_matrix, roots, positive_roots, root_index))
 
     @property
     def rank(self) -> int:
@@ -114,24 +111,16 @@ class RootSystem:
         return tuple(coeffs) in self.root_index
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(namedtuple("ParabolicData", "subset delta_s delta_s_plus delta_s_minus dim_p dim_l dim_u")):
     """Root data of the standard parabolic attached to a set of simple roots."""
 
-    subset: frozenset[int]
-    delta_s: tuple[Root, ...]
-    delta_s_plus: tuple[Root, ...]
-    delta_s_minus: tuple[Root, ...]
-    dim_p: int
-    dim_l: int
-    dim_u: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(namedtuple("ReducedWord", "letters")):
     """A word in simple reflections; letters apply left to right."""
 
-    letters: tuple[int, ...]
+    __slots__ = ()
 
     def __len__(self):
         return len(self.letters)
@@ -272,7 +261,8 @@ def reflect_root(rs: RootSystem, i: int, r: Root) -> Root:
 def weight_leq(rs: RootSystem, beta, gamma) -> bool:
     """True iff gamma - beta is a nonnegative integer combination of simple roots."""
     beta, gamma = tuple(beta), tuple(gamma)
-    if len(beta) != rs.rank or len(gamma) != rs.rank:
+    n = rs.rank
+    if len(beta) != n or len(gamma) != n:
         raise ValueError("vectors must have length equal to the rank")
     for b, g in zip(beta, gamma):
         diff = g - b
@@ -310,9 +300,9 @@ def longest_element(rs: RootSystem) -> ReducedWord:
 def apply_word_root(rs: RootSystem, word: ReducedWord, r: Root) -> Root:
     _check_index(rs, min(word.letters, default=1))
     _check_index(rs, max(word.letters, default=1))
-    coeffs = r.coeffs
+    cartan, coeffs = rs.cartan_matrix, r.coeffs
     for i in word.letters:
-        coeffs = _reflect_coeffs(rs.cartan_matrix, i - 1, coeffs)
+        coeffs = _reflect_coeffs(cartan, i - 1, coeffs)
     return Root(coeffs)
 
 

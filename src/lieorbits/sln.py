@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -33,21 +33,20 @@ class IrrationalSpectrumError(ValueError):
     """Raised when an operation needs rational eigenvalues and they are not."""
 
 
-@dataclass(frozen=True)
-class SlnElement:
-    """An n-by-n matrix of exact rationals with zero trace."""
+class SlnElement(namedtuple("SlnElement", "n entries")):
+    """An n-by-n matrix of exact rationals with zero trace, entries a tuple of row tuples."""
 
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, entries):
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
-        tr = sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+        if len(entries) != n or any(len(row) != n for row in entries):
+            raise ValueError(f"entries must form an {n}x{n} matrix")
+        tr = sum((entries[i][i] for i in range(n)), Fraction(0))
         if tr != 0:
             raise ValueError(f"trace must be zero, got {tr}")
+        return tuple.__new__(cls, (n, entries))
 
     @classmethod
     def from_rows(cls, rows) -> "SlnElement":
@@ -75,22 +74,20 @@ class SlnElement:
     def __rmul__(self, scalar) -> "SlnElement":
         return SlnElement.from_rows(linalg.mat_scale(self.to_matrix(), scalar))
 
+    __mul__ = __rmul__  # scalars commute; tuple repetition must not show through
+
     def __neg__(self) -> "SlnElement":
         return SlnElement.from_rows(linalg.mat_scale(self.to_matrix(), -1))
 
 
-@dataclass(frozen=True)
-class JordanPair:
+class JordanPair(namedtuple("JordanPair", "semisimple_part nilpotent_part semisimple_witness nilpotent_witness")):
     """Semisimple plus nilpotent split of an element, with polynomial witnesses.
 
     Both parts are polynomials in the input; the stored witness coefficient
-    lists (lowest degree first) evaluate on the input to the respective part.
+    tuples (lowest degree first) evaluate on the input to the respective part.
     """
 
-    semisimple_part: SlnElement
-    nilpotent_part: SlnElement
-    semisimple_witness: tuple[Fraction, ...]
-    nilpotent_witness: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def _same_n(x: SlnElement, y: SlnElement):

@@ -17,7 +17,7 @@ only real h can be reflected to a dominant representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .rootsys import (
@@ -46,12 +46,10 @@ class FundamentalDomainError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(namedtuple("GaussianRational", "re im")):
     """An exact complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
@@ -73,11 +71,10 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)} i"
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """A Cartan element over the simple coroots, with exact complex coordinates."""
+class TorusElement(namedtuple("TorusElement", "coords")):
+    """A Cartan element over the simple coroots, with a tuple of exact complex coordinates."""
 
-    coords: tuple[GaussianRational, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, values) -> "TorusElement":
@@ -159,18 +156,15 @@ def is_regular_semisimple(rs: RootSystem, h: TorusElement) -> bool:
     return not _pi_in_domain(rs, h)
 
 
-@dataclass(frozen=True)
-class DualParabolicReport:
+class DualParabolicReport(
+    namedtuple(
+        "DualParabolicReport",
+        "subset dual w0_image_is_plus intersection_roots intersection_is_levi dim_intersection dim_l plus_counts_equal",
+    )
+):
     """Root-level verification data for the dual-parabolic statements."""
 
-    subset: frozenset[int]
-    dual: frozenset[int]
-    w0_image_is_plus: bool
-    intersection_roots: tuple[Root, ...]
-    intersection_is_levi: bool
-    dim_intersection: int
-    dim_l: int
-    plus_counts_equal: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

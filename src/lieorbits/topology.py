@@ -12,19 +12,20 @@ form of the corresponding adjoint group.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .rootsys import RootSystem
 
 
-@dataclass(frozen=True)
-class ExponentData:
-    """Height distribution, summand dimensions, and their product polynomial."""
+class ExponentData(namedtuple("ExponentData", "heights dims poly")):
+    """Height distribution, summand dimensions, and their product polynomial.
 
-    heights: tuple[tuple[int, int], ...]  # (height, count) over positive roots, ascending
-    dims: tuple[int, ...]  # d_1 <= ... <= d_r, all odd
-    poly: tuple[int, ...]  # coefficients of prod(1 + t^d_j), ascending degree
+    heights: (height, count) pairs over the positive roots, ascending;
+    dims: d_1 <= ... <= d_r, all odd;
+    poly: coefficients of prod(1 + t^d_j), ascending degree.
+    """
+
+    __slots__ = ()
 
 
 def _dims_by_string_peeling(rs: RootSystem) -> list[int]:

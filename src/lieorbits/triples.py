@@ -16,44 +16,45 @@ verified exactly here for every Cartan type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .rootsys import Root, RootSystem, simple_root_values, solve_coroot_coords
 from .sln import SlnElement, bracket
 
+if TYPE_CHECKING:
+    from .rootsys import Root, RootSystem
 
-@dataclass(frozen=True)
-class CorootVector:
-    """An element of the Cartan subalgebra, in coordinates over the simple coroots."""
 
-    coords: tuple[Fraction, ...]
+class CorootVector(namedtuple("CorootVector", "coords")):
+    """An element of the Cartan subalgebra, a tuple of coordinates over the simple coroots."""
+
+    __slots__ = ()
 
     def evaluate(self, rs: RootSystem, i: int) -> Fraction:
         """Value of the i-th simple root (1-based) on this element."""
+        from .rootsys import simple_root_values
+
         return simple_root_values(rs, self.coords)[i - 1]
 
     def evaluate_root(self, rs: RootSystem, r: Root) -> Fraction:
+        from .rootsys import simple_root_values
+
         vals = simple_root_values(rs, self.coords)
         return sum([k * v for k, v in zip(r.coeffs, vals) if k], Fraction(0))
 
 
-@dataclass(frozen=True)
-class AbstractPrincipalTriple:
+class AbstractPrincipalTriple(namedtuple("AbstractPrincipalTriple", "h c")):
     """The neutral element h of the principal triple and its coroot coefficients."""
 
-    h: CorootVector
-    c: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MatrixTriple:
+class MatrixTriple(namedtuple("MatrixTriple", "x h y")):
     """Candidate (x, h, y) for the bracket relations [x,y]=h, [h,x]=2x, [h,y]=-2y."""
 
-    x: SlnElement
-    h: SlnElement
-    y: SlnElement
+    __slots__ = ()
 
 
 def verify_matrix_triple(t: MatrixTriple) -> bool:
@@ -74,6 +75,8 @@ def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
     structure constants: the solve is exact, and no difference of distinct
     simple roots is zero or a root.
     """
+    from .rootsys import simple_root_values, solve_coroot_coords
+
     n = rs.rank
     try:
         coords = solve_coroot_coords(rs, [2] * n)

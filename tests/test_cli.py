@@ -66,6 +66,15 @@ def test_parabolic_subset_out_of_range(capsys):
         assert f"index {bad[-1]}" in error and "1..3" in error
 
 
+def test_parabolic_subset_repeated_index(capsys):
+    for bad, index in (("1,1", 1), ("3,1,2,3", 3), ("2,1,1,2", 1)):
+        code, out = run(capsys, ["parabolic", "--type", "A", "--rank", "3", "--subset", bad])
+        assert code == 2
+        d = one_json_line(out)
+        assert d["error"] == f"subset {bad!r} repeats index {index}"
+        assert d["hint"] == "list each index once"
+
+
 def test_self_check_failure_exits_3(capsys, monkeypatch, h2):
     def broken_charpoly(a):
         raise RuntimeError("Faddeev-LeVerrier step 2 left remainder 1 on an integer matrix")

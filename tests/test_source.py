@@ -14,6 +14,23 @@ def test_no_assert_in_src():
     assert offenders == []
 
 
+def test_no_dataclasses_import_in_src():
+    # importing dataclasses costs more than the library code a CLI call
+    # compiles, so value classes are namedtuple subclasses
+    offenders = []
+    for path in sorted(Path(lieorbits.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert offenders == []
+
+
 def test_tracer_targets_exist():
     # the traced benchmark run wraps these names; a deleted one should fail
     # here rather than crash that run
