@@ -22,6 +22,7 @@ class Partition(namedtuple("Partition", "parts")):
     """A tuple of weakly decreasing positive integers; labels one nilpotent orbit."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, parts: tuple[int, ...]):
         if not parts:

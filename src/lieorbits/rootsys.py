@@ -7,10 +7,11 @@ Simple-root indices are 1-based throughout the public API (Bourbaki
 numbering, with the branch node of E-types numbered 2).
 
 The Weyl group acts through the Cartan matrix alone.  One integer chamber
-walk serves both the longest element (it walks -rho in fundamental-weight
-coordinates) and the dominant representative of a real torus element (it
-walks the simple-root values), and simple_root_values is the one product
-of the Cartan matrix with coroot coordinates.
+walk gives the longest element together with the diagram involution -w0 (it
+walks -(1, 2, ..., n) in fundamental-weight coordinates) and the dominant
+representative of a real torus element (it walks the simple-root values).
+simple_root_values is the one product of the Cartan matrix with coroot
+coordinates.
 
 Every root pairing <v, alpha_i^vee> = sum_j v_j a_ji is column i of the
 Cartan matrix against v, in integers.  It gives the simple reflections,
@@ -41,6 +42,7 @@ class CartanType(namedtuple("CartanType", "family rank")):
     """A simple Cartan family letter plus rank, validated on construction."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, family: str, rank: int):
         if family not in _RANK_CONSTRAINTS:
@@ -59,6 +61,7 @@ class Root(namedtuple("Root", "coeffs")):
     """An integer vector over the simple roots, uniformly signed and nonzero."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, coeffs: Coeffs):
         if not any(coeffs):
@@ -121,6 +124,7 @@ class ReducedWord(namedtuple("ReducedWord", "letters")):
     """A word in simple reflections; letters apply left to right."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # namedtuple's _make checks len(), the letter count
 
     def __len__(self):
         return len(self.letters)
@@ -221,9 +225,15 @@ def _check_index(rs: RootSystem, i: int) -> int:
     return i - 1
 
 
+def _check_length(rs: RootSystem, v):
+    if len(v) != rs.rank:
+        raise ValueError("vectors must have length equal to the rank")
+    return v
+
+
 def coroot_pairing(rs: RootSystem, i: int, v) -> int:
     """<v, alpha_i^vee> = sum_j v_j a_ji, in the ring of v; the Cartan integer a_ji when v is alpha_j."""
-    return _pairing(rs.cartan_matrix, _check_index(rs, i), v)
+    return _pairing(rs.cartan_matrix, _check_index(rs, i), _check_length(rs, v))
 
 
 def simple_root_values(rs: RootSystem, coords) -> tuple:
@@ -255,15 +265,12 @@ def _chamber_walk(rows, v, limit: int) -> tuple[list, list[int]]:
 
 def reflect_root(rs: RootSystem, i: int, r: Root) -> Root:
     i0 = _check_index(rs, i)
-    return Root(_reflect_coeffs(rs.cartan_matrix, i0, r.coeffs))
+    return Root(_reflect_coeffs(rs.cartan_matrix, i0, _check_length(rs, r.coeffs)))
 
 
 def weight_leq(rs: RootSystem, beta, gamma) -> bool:
     """True iff gamma - beta is a nonnegative integer combination of simple roots."""
-    beta, gamma = tuple(beta), tuple(gamma)
-    n = rs.rank
-    if len(beta) != n or len(gamma) != n:
-        raise ValueError("vectors must have length equal to the rank")
+    beta, gamma = _check_length(rs, tuple(beta)), _check_length(rs, tuple(gamma))
     for b, g in zip(beta, gamma):
         diff = g - b
         if diff < 0 or diff.denominator != 1:
@@ -284,23 +291,28 @@ def maximal_root(rs: RootSystem) -> Root:
     return theta
 
 
-def longest_element(rs: RootSystem) -> ReducedWord:
-    """Reduced word for the longest Weyl element, by greedy descent.
+def _w0_walk(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of w0 and sigma = -w0 on the simple roots, from one chamber walk.
 
-    Walk -rho, which is (-1, ..., -1) in fundamental-weight coordinates, to
-    the dominant chamber, always reflecting at the least negative index.  The
-    walk takes exactly one step per positive root.
+    -lambda = -(1, 2, ..., n) in fundamental-weight coordinates is regular and
+    antidominant like -rho, so its walk has the letters of -rho, and it ends at
+    w0.(-lambda) = sum_i i * omega_sigma(i): sigma(j) is the j-th coordinate.
     """
-    _, letters = _chamber_walk(rs.cartan_matrix, [-1] * rs.rank, rs.num_positive)
-    if len(letters) != rs.num_positive:
-        raise RuntimeError("longest-element walk did not take |positive roots| steps")
-    return ReducedWord(tuple(letters))
+    end, letters = _chamber_walk(rs.cartan_matrix, range(-1, -rs.rank - 1, -1), rs.num_positive)
+    if len(letters) != rs.num_positive or sorted(end) != list(range(1, rs.rank + 1)):
+        raise RuntimeError("w0 walk did not take |positive roots| steps to a permutation of 1..n")
+    return tuple(letters), tuple(end)
+
+
+def longest_element(rs: RootSystem) -> ReducedWord:
+    """Reduced word for the longest Weyl element: one letter per positive root, by greedy descent."""
+    return ReducedWord(_w0_walk(rs)[0])
 
 
 def apply_word_root(rs: RootSystem, word: ReducedWord, r: Root) -> Root:
+    cartan, coeffs = rs.cartan_matrix, _check_length(rs, r.coeffs)
     _check_index(rs, min(word.letters, default=1))
     _check_index(rs, max(word.letters, default=1))
-    cartan, coeffs = rs.cartan_matrix, r.coeffs
     for i in word.letters:
         coeffs = _reflect_coeffs(cartan, i - 1, coeffs)
     return Root(coeffs)
@@ -308,27 +320,14 @@ def apply_word_root(rs: RootSystem, word: ReducedWord, r: Root) -> Root:
 
 def dual_subset(rs: RootSystem, subset) -> frozenset[int]:
     """The involution S -> -w0.S on subsets of the simple roots."""
-    s = frozenset(subset)
-    for i in s:
-        _check_index(rs, i)
-    w0 = longest_element(rs)
-    out = set()
-    for i in s:
-        unit = Root(tuple([1 if j == i - 1 else 0 for j in range(rs.rank)]))
-        image = -apply_word_root(rs, w0, unit)
-        coeffs = image.coeffs
-        if sum(coeffs) != 1 or set(coeffs) - {0, 1}:
-            raise RuntimeError(f"-w0.alpha_{i} = {coeffs} is not a simple root")
-        out.add(coeffs.index(1) + 1)
-    return frozenset(out)
+    sigma = _w0_walk(rs)[1]
+    return frozenset([sigma[_check_index(rs, i)] for i in frozenset(subset)])
 
 
 def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     """Root sets and dimensions of the standard parabolic, its Levi and unipotent parts."""
     s = frozenset(subset)
-    for i in s:
-        _check_index(rs, i)
-    s0 = {i - 1 for i in s}
+    s0 = {_check_index(rs, i) for i in s}
     delta_s = tuple([r for r in rs.roots if all(c == 0 or j in s0 for j, c in enumerate(r.coeffs))])
     plus = tuple([r for r in delta_s if r.is_positive])
     minus = tuple([r for r in delta_s if not r.is_positive])

@@ -37,6 +37,7 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
     """An n-by-n matrix of exact rationals with zero trace, entries a tuple of row tuples."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, n: int, entries):
         if n < 1:
@@ -199,13 +200,15 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     n = x.n
     p = linalg.charpoly(a)
     q = linalg.squarefree_part(p)
-    _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
+    u = None  # made by the first round that needs it; none does when p is squarefree
     sigma: Poly = [Fraction(0), Fraction(1)]
     rounds = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
     for _ in range(rounds):
         qs = linalg.poly_compose_mod(q, sigma, p)
         if not qs:
             break
+        if u is None:
+            _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
         us = linalg.poly_compose_mod(u, sigma, p)
         sigma = linalg.poly_mod(linalg.poly_sub(sigma, linalg.poly_mul(qs, us)), p)
     if linalg.poly_compose_mod(q, sigma, p):

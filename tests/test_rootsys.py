@@ -224,6 +224,50 @@ def test_dual_subset():
         dual_subset(a3, {4})
 
 
+SIGMA_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(2, 13)]
+    + [("D", n) for n in range(3, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    + [(family, 40) for family in "ABCD"]
+)
+
+
+@pytest.mark.parametrize("family,rank", SIGMA_TYPES)
+def test_dual_subset_against_the_w0_word(family, rank):
+    # the oracle: -w0.alpha_i = alpha_sigma(i), with w0 applied letter by letter
+    rs = build_root_system(CartanType(family, rank))
+    w0 = longest_element(rs)
+    for i in range(1, rank + 1):
+        (j,) = dual_subset(rs, {i})
+        assert (-apply_word_root(rs, w0, Root(unit(rank, i)))).coeffs == unit(rank, j)
+    assert dual_subset(rs, range(1, rank + 1)) == frozenset(range(1, rank + 1))
+
+
+def test_w0_walk_checks_its_length():
+    a3 = build_root_system(CartanType("A", 3))
+    for positives in (a3.positive_roots[:-1], a3.positive_roots + a3.positive_roots[:1]):
+        broken = a3._replace(positive_roots=positives)
+        for call in (longest_element, lambda rs: dual_subset(rs, {1})):
+            with pytest.raises(RuntimeError):
+                call(broken)
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    a3 = build_root_system(CartanType("A", 3))
+    for v in ((1,), (1, 0, 0, 0, 0)):
+        for call in (
+            lambda: coroot_pairing(a3, 1, v),
+            lambda: reflect_root(a3, 1, Root(v)),
+            lambda: apply_word_root(a3, longest_element(a3), Root(v)),
+            lambda: apply_word_root(a3, ReducedWord(()), Root(v)),
+            lambda: weight_leq(a3, v, (1, 1, 1)),
+        ):
+            with pytest.raises(ValueError, match="^vectors must have length equal to the rank$"):
+                call()
+
+
 def test_parabolic_data_examples():
     a2 = build_root_system(CartanType("A", 2))
     borel = parabolic_data(a2, set())

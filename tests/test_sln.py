@@ -239,6 +239,20 @@ def test_jordan_chevalley_examples():
     assert jp.nilpotent_part.entries == E(3, 1, 2).entries
 
 
+def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
+    cyclic = SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # charpoly t^3 - 1, squarefree
+    expected = jordan_chevalley(cyclic)
+
+    def refuse(*args):
+        raise AssertionError("poly_xgcd called")
+
+    monkeypatch.setattr(linalg, "poly_xgcd", refuse)
+    assert jordan_chevalley(cyclic) == expected
+    assert expected.semisimple_part == cyclic and expected.nilpotent_part.is_zero()
+    with pytest.raises(AssertionError, match="poly_xgcd called"):
+        jordan_chevalley(X)  # charpoly t^2: the Newton round needs the inverse of q'
+
+
 def check_jordan_properties(x):
     jp = jordan_chevalley(x)
     xs, xn = jp.semisimple_part, jp.nilpotent_part

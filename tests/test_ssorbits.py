@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import dominant_by_coroot_walk, rand_jordan_type, rand_rational_spectrum
-from lieorbits import ssorbits
-from lieorbits.rootsys import CartanType, build_root_system, parabolic_data, solve_coroot_coords
+from lieorbits import rootsys, ssorbits
+from lieorbits.rootsys import CartanType, build_root_system, dual_subset, parabolic_data, solve_coroot_coords
 from lieorbits.sln import is_semisimple, jordan_chevalley, same_orbit
 from lieorbits.ssorbits import (
     FundamentalDomainError,
@@ -139,6 +139,19 @@ def test_compactification_dims_examples():
     assert compactification_dims(a2, torus_with_values(a2, [0, 1])) == (4, 2, 2)
     with pytest.raises(FundamentalDomainError):
         compactification_dims(a2, torus_with_values(a2, [-1, 1]))
+
+
+def test_dual_subset_and_compactification_dims_apply_no_word(monkeypatch):
+    e6 = build_root_system(CartanType("E", 6))
+    h = torus_with_values(e6, [0, 1, 0, 2, 1, 1])
+    expected = compactification_dims(e6, h)
+
+    def refuse(*args):
+        raise AssertionError("apply_word_root called")
+
+    monkeypatch.setattr(rootsys, "apply_word_root", refuse)
+    assert dual_subset(e6, {1, 2, 3}) == {6, 2, 5}
+    assert compactification_dims(e6, h) == expected == (66, 33, 33)
 
 
 @pytest.mark.parametrize("family,rank", RANK_LE_4)

@@ -111,6 +111,32 @@ def test_validating_constructors_keep_their_messages(make, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: CartanType("A", 2)._replace(family="H"), "unknown Cartan family 'H'; expected one of A-G"),
+        (lambda: CartanType._make(["G", 3]), "family G requires rank = 2, got 3"),
+        (lambda: Root((1, 0))._replace(coeffs=(0, 0)), "zero vector is not a root"),
+        (lambda: Root._make([(1, -1)]), "mixed-sign coefficients (1, -1) are not a root"),
+        (lambda: SlnElement.from_rows([[0, 1], [0, 0]])._replace(n=3), "entries must form an 3x3 matrix"),
+        (lambda: SlnElement._make([2, ((1, 0), (0, 1))]), "trace must be zero, got 2"),
+        (lambda: Partition((2, 1))._replace(parts=(1, 2)), "parts must be weakly decreasing: (1, 2)"),
+        (lambda: Partition._make([()]), "a partition needs at least one part"),
+    ],
+)
+def test_make_and_replace_validate(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_make_and_replace_round_trip():
+    for value in build_values():
+        assert value._replace() == value and type(value._replace()) is type(value)
+        assert type(value)._make(value) == value
+    assert Root((1, 0))._replace(coeffs=(0, 1)) == Root((0, 1))
+    assert CartanType("E", 6)._replace(rank=8) == CartanType("E", 8)
+
+
 def test_fields_cannot_be_assigned():
     for value in build_values():
         for name in FIELDS[type(value)]:
