@@ -10,7 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "minorbit": ("MinOrbitReport", "min_orbit_report", "type_a_flag_check"),
+    "minorbit": ("MinOrbitReport", "min_orbit_report"),
     "orbits": (
         "OrbitPoset",
         "Partition",

@@ -8,13 +8,16 @@ Every failure prints a one-line JSON object {"error": ..., "hint": ...};
 identical inputs always produce byte-identical outputs.
 
 Inputs are bounded so that no call runs unbounded: --rank is at most 40 and
-poset --n at most 40; above a limit the call exits 1 and names it.
+the --n of poset and closure at most 40; above a limit the call exits 1 and
+names it.  Exact numbers, in matrix entries and in each part of an --h
+coordinate, are [+-]digits or [+-]digits/digits with a nonzero denominator.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +28,10 @@ if TYPE_CHECKING:
     from . import orbits, rootsys, sln, ssorbits
 
 MAX_RANK = 40
-MAX_POSET_N = 40
+MAX_N = 40
+# sln's matrix-entry grammar, for --h, whose handler loads no sln; Fraction alone would
+# also take "1/0" and "1e10000000", an exact 10^(10^7)
+_EXACT = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"  # compiled on first use, by re.fullmatch
 
 
 class _UsageError(Exception):
@@ -43,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
 _DOMAIN_HINTS = {
     "lieorbits.sln.IrrationalSpectrumError": "conjugacy testing supports rational eigenvalues only",
 }
+
+
+def _exact(text: str) -> Fraction:
+    if not re.fullmatch(_EXACT, text):
+        raise ValueError(f'{text!r} is not an exact rational like "-1/2"')
+    return Fraction(text)
 
 
 def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
@@ -63,8 +75,8 @@ def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
             im_part = "1"
         elif im_part == "-":
             im_part = "-1"
-        return ssorbits.GaussianRational(Fraction(re_part), Fraction(im_part))
-    return ssorbits.GaussianRational(Fraction(s), Fraction(0))
+        return ssorbits.GaussianRational(_exact(re_part), _exact(im_part))
+    return ssorbits.GaussianRational(_exact(s), Fraction(0))
 
 
 def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
@@ -72,7 +84,7 @@ def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
 
     try:
         coords = tuple([_parse_gaussian(t) for t in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _UsageError(
             f"cannot parse --h {text!r}: {exc}",
             hint='coordinates look like "1", "-1/2", "1+1/2 i", comma-separated',
@@ -243,9 +255,13 @@ def _cmd_jm(args):
     }
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"--n {n} is above the limit of {MAX_N}")
+
+
 def _cmd_poset(args):
-    if args.n > MAX_POSET_N:
-        raise ValueError(f"--n {args.n} is above the limit of {MAX_POSET_N}")
+    _check_n(args.n)
     from . import orbits
 
     poset = orbits.hasse_diagram(args.n)
@@ -255,6 +271,7 @@ def _cmd_poset(args):
 
 
 def _cmd_closure(args):
+    _check_n(args.n)
     from . import orbits
 
     lower = _parse_partition(args.lower)
@@ -365,13 +382,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True)
 
     p = add("poset", _cmd_poset, "nilpotent orbit poset for traceless n x n matrices")
-    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_POSET_N})")
+    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_N})")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--json", action="store_true", help="JSON output (the default)")
     grp.add_argument("--dot", action="store_true", help="DOT output")
 
     p = add("closure", _cmd_closure, "closure comparison of two orbit partitions")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_N})")
     p.add_argument("--lower", required=True, help='partition like "2,2,2"')
     p.add_argument("--upper", required=True, help='partition like "3,1,1,1"')
 

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .rootsys import (
-    CartanType,
-    RootSystem,
-    build_root_system,
-    coroot_pairing,
-    maximal_root,
-    parabolic_data,
-)
+from .rootsys import RootSystem, coroot_pairing, maximal_root, parabolic_data
 
 
 class MinOrbitReport(namedtuple("MinOrbitReport", "theta pi_theta dim_P_Omin dim_Omin")):
@@ -40,20 +33,3 @@ def min_orbit_report(rs: RootSystem) -> MinOrbitReport:
         dim_P_Omin=dim_p_omin,
         dim_Omin=dim_p_omin + 1,
     )
-
-
-def type_a_flag_check(n: int) -> bool:
-    """Cross-check the type A projectivized minimal orbit against two other routes.
-
-    The projectivization is the variety of (line, hyperplane) incident flags,
-    of dimension 2n - 3; the orbit itself must match the partition-route
-    dimension of the (2, 1, ..., 1) orbit.
-    """
-    from .orbits import minimal_orbit, orbit_dim_partition
-
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    report = min_orbit_report(build_root_system(CartanType("A", n - 1)))
-    flag_dim = (n - 1) + (n - 1) - 1
-    partition_dim = orbit_dim_partition(minimal_orbit(n))
-    return report.dim_P_Omin == flag_dim == 2 * n - 3 and report.dim_Omin == partition_dim

@@ -83,20 +83,14 @@ class Root(namedtuple("Root", "coeffs")):
         return Root(tuple([-c for c in self.coeffs]))
 
 
-class RootSystem(namedtuple("RootSystem", "ctype cartan_matrix roots positive_roots root_index")):
+class RootSystem(namedtuple("RootSystem", "ctype cartan_matrix roots positive_roots")):
     """Full root data for one Cartan type.
 
     cartan_matrix[i][j] is the pairing of simple root i+1 against simple
     coroot j+1, so row i holds alpha_(i+1) in fundamental-weight coordinates.
-    root_index, the set of root coefficient vectors, is filled in when not given.
     """
 
     __slots__ = ()
-
-    def __new__(cls, ctype, cartan_matrix, roots, positive_roots, root_index=None):
-        if not root_index:
-            root_index = frozenset(r.coeffs for r in roots)
-        return tuple.__new__(cls, (ctype, cartan_matrix, roots, positive_roots, root_index))
 
     @property
     def rank(self) -> int:
@@ -109,9 +103,6 @@ class RootSystem(namedtuple("RootSystem", "ctype cartan_matrix roots positive_ro
     @property
     def num_positive(self) -> int:
         return len(self.positive_roots)
-
-    def is_root(self, coeffs) -> bool:
-        return tuple(coeffs) in self.root_index
 
 
 class ParabolicData(namedtuple("ParabolicData", "subset delta_s delta_s_plus delta_s_minus dim_p dim_l dim_u")):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -327,11 +328,16 @@ def matrix_to_json(x: SlnElement) -> dict:
     return {"n": x.n, "entries": [[str(v) for v in row] for row in x.entries]}
 
 
+# [+-]digits or [+-]digits/digits, the denominator nonzero; Fraction alone would also take
+# "1/0" (ZeroDivisionError) and "1e10000000" (an exact 10^(10^7), seconds to build)
+_EXACT_ENTRY = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"  # compiled on first use, by re.fullmatch
+
+
 def _json_entry(v) -> Fraction:
     # a JSON float has lost its exact value in binary by now, and a boolean is not a number
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f'matrix entries must be integers or strings like "1/2", got {json.dumps(v)}')
-    return Fraction(v)
+    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, str) and re.fullmatch(_EXACT_ENTRY, v):
+        return Fraction(v)
+    raise ValueError(f'matrix entries must be integers or strings like "1/2", got {json.dumps(v)}')
 
 
 def matrix_from_json(obj) -> SlnElement:

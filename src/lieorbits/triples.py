@@ -9,9 +9,12 @@ the principal triple of sl_n from the regular nilpotent (Collingwood and
 McGovern, Nilpotent Orbits in Semisimple Lie Algebras, ch. 3).
 
 The abstract principal triple never materializes root vectors: the bracket
-relations reduce to the coefficient solve plus the fact that the difference
-of two distinct simple roots is never zero or a root, both of which are
-verified exactly here for every Cartan type.
+relations reduce to the coefficient solve, checked exactly here, plus the
+fact that the difference of two distinct simple roots is never a root.  That
+holds for every Cartan type, because every root is a nonnegative or a
+nonpositive combination of the simple roots (Kostant, Amer. J. Math. 81,
+1959; Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.1), and Root refuses mixed signs.
 """
 
 from __future__ import annotations
@@ -24,25 +27,13 @@ from . import linalg
 from .sln import SlnElement, bracket
 
 if TYPE_CHECKING:
-    from .rootsys import Root, RootSystem
+    from .rootsys import RootSystem
 
 
 class CorootVector(namedtuple("CorootVector", "coords")):
     """An element of the Cartan subalgebra, a tuple of coordinates over the simple coroots."""
 
     __slots__ = ()
-
-    def evaluate(self, rs: RootSystem, i: int) -> Fraction:
-        """Value of the i-th simple root (1-based) on this element."""
-        from .rootsys import simple_root_values
-
-        return simple_root_values(rs, self.coords)[i - 1]
-
-    def evaluate_root(self, rs: RootSystem, r: Root) -> Fraction:
-        from .rootsys import simple_root_values
-
-        vals = simple_root_values(rs, self.coords)
-        return sum([k * v for k, v in zip(r.coeffs, vals) if k], Fraction(0))
 
 
 class AbstractPrincipalTriple(namedtuple("AbstractPrincipalTriple", "h c")):
@@ -71,30 +62,19 @@ def verify_matrix_triple(t: MatrixTriple) -> bool:
 def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
     """The principal triple's h: the solve of alpha_i(h) = 2 over the coroots.
 
-    Also verifies the two ingredients that make the triple close up without
-    structure constants: the solve is exact, and no difference of distinct
-    simple roots is zero or a root.
+    The solve is checked exactly.  The triple then closes without structure
+    constants, because alpha_i - alpha_j (i != j) has coefficients of both
+    signs and so is never a root.
     """
     from .rootsys import simple_root_values, solve_coroot_coords
 
-    n = rs.rank
     try:
-        coords = solve_coroot_coords(rs, [2] * n)
+        coords = solve_coroot_coords(rs, [2] * rs.rank)
     except ValueError as exc:
         raise RuntimeError(f"Cartan matrix of {rs.ctype} is singular") from exc
     h = CorootVector(coords)
     if any([v != 2 for v in simple_root_values(rs, coords)]):
         raise RuntimeError("coefficient solve failed to give alpha(h) = 2")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            diff = tuple([(1 if k == i else 0) - (1 if k == j else 0) for k in range(n)])
-            if rs.is_root(diff):
-                raise RuntimeError(
-                    f"simple-root difference alpha_{i+1} - alpha_{j+1} is a root; "
-                    "the principal triple would not close"
-                )
     return AbstractPrincipalTriple(h=h, c=h.coords)
 
 

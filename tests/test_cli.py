@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieorbits import linalg
 from lieorbits.cli import main
@@ -230,8 +234,24 @@ def test_ssorbit(capsys):
     assert json.loads(out) == {"in_D": False, "Pi_h": []}
     code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", "1+1/2 i,2"])
     assert code == 0 and json.loads(out)["in_D"] is True
-    code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", "1,whoops"])
-    assert code == 2
+    for h in ("+1,007", "i,-i", "2/4+3 i,-1/2-i", "1 + 1/2 i,2"):
+        code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", h])
+        assert code == 0 and set(json.loads(out)) >= {"in_D", "Pi_h"}, h
+    for h in (
+        "1,whoops",
+        "1/0,0",  # the torus of the cli_calls usage.bad_torus op
+        "1e10000000,0",  # Fraction would build an exact 10^(10^7)
+        "0,1+1e10000000 i",
+        "1/0 i,0",
+        "1.5,0",
+        "1_0,0",
+        "0x1,0",
+        "1/-2,0",
+        "1+-2 i,0",
+        "\u0663,0",  # a non-ASCII digit
+    ):
+        code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", h])
+        assert code == 2 and one_json_line(out)["error"].startswith("cannot parse --h"), h
 
 
 def test_poincare(capsys):
@@ -292,6 +312,15 @@ def test_malformed_matrix_file(capsys, tmp_path):
         ({"n": True, "entries": [["0"]]}, "true"),
         ({"n": "2", "entries": [["0", "1"], ["0", "0"]]}, '"2"'),
         ({"n": 2, "entries": ["01", "00"]}, "list of rows"),
+        ({"n": 2, "entries": [["0", "1/0"], ["0", "0"]]}, '"1/0"'),  # was a ZeroDivisionError traceback
+        ({"n": 2, "entries": [["0", "1e10000000"], ["0", "0"]]}, '"1e10000000"'),  # was an exact 10^(10^7)
+        ({"n": 2, "entries": [["0", "1.5"], ["0", "0"]]}, '"1.5"'),
+        ({"n": 2, "entries": [["0", " 1"], ["0", "0"]]}, '" 1"'),
+        ({"n": 2, "entries": [["0", "1_000"], ["0", "0"]]}, '"1_000"'),
+        ({"n": 2, "entries": [["0", "1/-2"], ["0", "0"]]}, '"1/-2"'),
+        ({"n": 2, "entries": [["0", "+-1"], ["0", "0"]]}, '"+-1"'),
+        ({"n": 2, "entries": [["0", ""], ["0", "0"]]}, '""'),
+        ({"n": 2, "entries": [["0", "\u0663"], ["0", "0"]]}, '"\\u0663"'),  # a non-ASCII digit
     ],
 )
 def test_matrix_entries_must_be_exact(capsys, tmp_path, matrix, bad):
@@ -308,6 +337,9 @@ def test_matrix_entries_may_be_ints_or_rational_strings(capsys, tmp_path):
     code, out = run(capsys, ["phi", "--matrix", str(path)])
     assert code == 0
     assert json.loads(out) == {"n": 2, "coeffs": ["-47/6"]}  # det = -9 + 7/6
+    path = write_matrix(tmp_path, "m.json", 2, [["+3", "2/04"], ["-14/006", "-3"]])
+    code, out = run(capsys, ["phi", "--matrix", str(path)])
+    assert code == 0 and json.loads(out) == {"n": 2, "coeffs": ["-47/6"]}
 
 
 def test_rank_and_poset_limits(capsys):
@@ -323,10 +355,53 @@ def test_rank_and_poset_limits(capsys):
     code, out = run(capsys, ["poset", "--n", "41", "--dot"])
     assert code == 1
     assert one_json_line(out)["error"] == "--n 41 is above the limit of 40"
+    code, out = run(capsys, ["closure", "--n", "40", "--lower", ",".join(["1"] * 40), "--upper", "40"])
+    assert code == 0 and json.loads(out)["dominance"] is True
+    # the limit is checked before the partitions are parsed
+    for lower in (",".join(["1"] * 41), "x"):
+        code, out = run(capsys, ["closure", "--n", "41", "--lower", lower, "--upper", "41"])
+        assert code == 1
+        assert one_json_line(out)["error"] == "--n 41 is above the limit of 40"
 
 
 def test_help_lists_the_limits(capsys):
-    for argv in (["--help"], ["roots", "--help"], ["poset", "--help"]):
+    for argv in (["--help"], ["roots", "--help"], ["poset", "--help"], ["closure", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)
         assert "at most 40" in capsys.readouterr().out
+
+
+def _check_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, out.getvalue())
+    assert len(lines) == 1, (argv, out.getvalue())
+    obj = json.loads(lines[0])
+    assert code == 0 or set(obj) == {"error", "hint"}, (argv, obj)
+
+
+# short strings from a small alphabet reach the grammar's edges more often than arbitrary text
+_SHORT = st.text(alphabet="0123456789+-/ ,.eixj_\u0663", max_size=8) | st.text(max_size=6)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(entry=_SHORT, command=st.sampled_from(["phi", "jordan", "orbit-dim", "jm"]))
+@example(entry="1/0", command="phi")  # was a ZeroDivisionError traceback
+def test_matrix_entry_strings_keep_the_error_contract(tmp_path_factory, entry, command):
+    path = tmp_path_factory.mktemp("entries") / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["0", entry], ["0", "0"]]}))
+    _check_contract([command, "--matrix", str(path)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(text=_SHORT, flag=st.sampled_from(["--h", "--subset", "--lower", "--upper"]))
+def test_flag_strings_keep_the_error_contract(text, flag):
+    argv = {
+        "--h": ["ssorbit", "--type", "B", "--rank", "2", f"--h={text}"],
+        "--subset": ["parabolic", "--type", "B", "--rank", "3", f"--subset={text}"],
+        "--lower": ["closure", "--n", "4", f"--lower={text}", "--upper", "2,2"],
+        "--upper": ["closure", "--n", "4", "--lower", "2,1,1", f"--upper={text}"],
+    }[flag]
+    _check_contract(argv)

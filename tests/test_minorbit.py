@@ -1,6 +1,6 @@
 import pytest
 
-from lieorbits.minorbit import min_orbit_report, type_a_flag_check
+from lieorbits.minorbit import min_orbit_report
 from lieorbits.orbits import hasse_diagram, minimal_orbit, orbit_dim_partition
 from lieorbits.rootsys import CartanType, build_root_system, weight_leq
 
@@ -38,13 +38,12 @@ def test_theta_dominates():
 
 def test_type_a_cross_module_consistency():
     for n in range(3, 9):
-        assert type_a_flag_check(n)
         rs = build_root_system(CartanType("A", n - 1))
         rep = min_orbit_report(rs)
+        # P(O_min) is the variety of incident (line, hyperplane) flags in C^n
+        assert rep.dim_P_Omin == 2 * n - 3
         assert rep.dim_Omin == orbit_dim_partition(minimal_orbit(n)) == 2 * n - 2
         assert rep.pi_theta == frozenset(range(2, n - 1))
-    with pytest.raises(ValueError):
-        type_a_flag_check(2)
 
 
 def test_min_orbit_covers_only_zero_in_type_a():

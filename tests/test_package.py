@@ -15,7 +15,7 @@ SRC = str(Path(lieorbits.__file__).resolve().parent.parent)
 
 # the names the package exported when its __init__ imported every module
 PUBLIC = {
-    "minorbit": ("MinOrbitReport", "min_orbit_report", "type_a_flag_check"),
+    "minorbit": ("MinOrbitReport", "min_orbit_report"),
     "orbits": (
         "OrbitPoset",
         "Partition",

@@ -45,13 +45,14 @@ def test_verify_matrix_triple():
 def test_kostant_principal_every_type(family, rank):
     rs = build_root_system(CartanType(family, rank))
     t = kostant_principal(rs)
-    for i in range(1, rank + 1):
-        assert t.h.evaluate(rs, i) == 2
+    # alpha_i(h) = sum_j a_ij c_j, row i of the Cartan matrix against the coroot coordinates
+    values = [sum(a * c for a, c in zip(row, t.h.coords)) for row in rs.cartan_matrix]
+    assert values == [2] * rank
     assert t.c == t.h.coords
     # every root evaluates to twice its height, an even integer
     for r in rs.roots:
-        v = t.h.evaluate_root(rs, r)
-        assert v == 2 * r.height and v.denominator == 1
+        v = sum(k * x for k, x in zip(r.coeffs, values))
+        assert v == 2 * r.height and Fraction(v).denominator == 1
 
 
 def test_kostant_coefficients_small_types():

@@ -32,7 +32,7 @@ from lieorbits.triples import (
 FIELDS = {
     CartanType: ("family", "rank"),
     Root: ("coeffs",),
-    RootSystem: ("ctype", "cartan_matrix", "roots", "positive_roots", "root_index"),
+    RootSystem: ("ctype", "cartan_matrix", "roots", "positive_roots"),
     ParabolicData: ("subset", "delta_s", "delta_s_plus", "delta_s_minus", "dim_p", "dim_l", "dim_u"),
     ReducedWord: ("letters",),
     SlnElement: ("n", "entries"),
@@ -162,6 +162,14 @@ def test_keyword_construction_and_repr():
     assert x == SlnElement.from_rows([[0, 1], [0, 0]])
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
     assert str(CartanType("E", 8)) == "E8" and str(Partition((2, 1))) == "2+1"
+
+
+def test_root_system_holds_only_its_roots():
+    # no derived set of root vectors rides along in ==, hash or repr
+    assert RootSystem._fields == ("ctype", "cartan_matrix", "roots", "positive_roots")
+    a, b = (build_root_system(CartanType("E", 8)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert "frozenset" not in repr(a)
 
 
 def test_reduced_word_length_counts_letters():
