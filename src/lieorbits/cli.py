@@ -1,16 +1,20 @@
 """Command-line front end: JSON in, JSON (or DOT/LaTeX) out, fixed orderings.
 
-Exit status: 0 on success, 2 on usage problems (bad flags, unreadable or
-malformed input files), 1 on domain errors (non-nilpotent input to jm,
-irrational spectra, invalid rank for a family, ...), 3 when an internal
-self-check fails (a bug; the error names the function whose check failed).
-Every failure prints a one-line JSON object {"error": ..., "hint": ...};
-identical inputs always produce byte-identical outputs.
+Exit status: 0 on success, 2 on usage problems (bad flags, a number outside
+the grammar, unreadable or malformed input files), 1 on domain errors
+(non-nilpotent input to jm, irrational spectra, invalid rank for a family,
+an input above a limit, ...), 3 when an internal self-check fails (a bug;
+the error names the function whose check failed).  Every failure prints a
+one-line JSON object {"error": ..., "hint": ...}; identical inputs always
+produce byte-identical outputs.
 
-Inputs are bounded so that no call runs unbounded: --rank is at most 40 and
-the --n of poset and closure at most 40; above a limit the call exits 1 and
-names it.  Exact numbers, in matrix entries and in each part of an --h
-coordinate, are [+-]digits or [+-]digits/digits with a nonzero denominator.
+Inputs are bounded so that no call runs unbounded: --rank is at most 40,
+and the --n of poset and closure and the n of a matrix file at most 40;
+above a limit the call exits 1 and names it.  Integers (--rank, --n, the
+items of --subset, --lower and --upper) are [+-]digits in ASCII digits.
+Exact numbers (matrix entries, each part of an --h coordinate) are an
+integer or [+-]digits/digits with a nonzero denominator.  A matrix file is
+{"n": ..., "entries": [[...]]}, with no other key.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ if TYPE_CHECKING:
 
 MAX_RANK = 40
 MAX_N = 40
-# sln's matrix-entry grammar, for --h, whose handler loads no sln; Fraction alone would
-# also take "1/0" and "1e10000000", an exact 10^(10^7)
-_EXACT = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"  # compiled on first use, by re.fullmatch
+# The input grammar, compiled on first use by re.fullmatch.  int() and Fraction() alone would
+# also take "1_0", " 3" and non-ASCII digits, and Fraction "1/0" and "1e10000000", an exact
+# 10^(10^7) that takes seconds to build.
+_INT = r"[+-]?[0-9]+"
+_EXACT = _INT + r"(/0*[1-9][0-9]*)?"
 
 
 class _UsageError(Exception):
@@ -40,15 +46,27 @@ class _UsageError(Exception):
         self.hint = hint
 
 
+class _LimitError(ValueError):
+    """An input above a size limit: a domain error (exit 1), even inside a malformed-file check."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures through the JSON reporter
         raise _UsageError(message)
 
 
-# keyed by qualified class name, so that looking up a hint imports nothing
-_DOMAIN_HINTS = {
-    "lieorbits.sln.IrrationalSpectrumError": "conjugacy testing supports rational eigenvalues only",
-}
+def integer(text: str) -> int:
+    """An ASCII integer; the name reads in argparse's "invalid integer value" message."""
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f'{text!r} is not an integer like "-3"')
+    return int(text)
+
+
+def _integers(text: str, what: str, example: str) -> tuple[int, ...]:
+    try:
+        return tuple([integer(t) for t in text.split(",")])
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse {what} {text!r}: {exc}", hint=f'write it like "{example}"') from exc
 
 
 def _exact(text: str) -> Fraction:
@@ -57,26 +75,25 @@ def _exact(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _check_limit(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise _LimitError(f"{name} {value} is above the limit of {limit}")
+
+
 def _parse_gaussian(token: str) -> ssorbits.GaussianRational:
-    """Parse "a", "a/b", "a+b i" or "a-b i" (spaces optional) exactly."""
+    """Parse "a", "a/b", "a+b i" or "a-b i" exactly; spaces only around the joining sign and before i."""
     from . import ssorbits
 
-    s = token.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty coordinate")
-    if s.endswith("i"):
-        body = s[:-1]
-        split = max(body.rfind("+"), body.rfind("-"))
-        if split <= 0:
-            re_part, im_part = "0", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
-        return ssorbits.GaussianRational(_exact(re_part), _exact(im_part))
-    return ssorbits.GaussianRational(_exact(s), Fraction(0))
+    if not token.endswith("i"):
+        return ssorbits.GaussianRational(_exact(token), Fraction(0))
+    body = token[:-1].rstrip(" ")
+    split = max(body.rfind("+"), body.rfind("-"))
+    if split > 0:
+        re_part, im_part = body[:split].rstrip(" "), body[split] + body[split + 1 :].lstrip(" ")
+    else:
+        re_part, im_part = "0", body
+    im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
+    return ssorbits.GaussianRational(_exact(re_part), _exact(im_part))
 
 
 def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
@@ -94,29 +111,56 @@ def _parse_torus(text: str, rank: int) -> ssorbits.TorusElement:
     return ssorbits.TorusElement(coords)
 
 
-def _parse_partition(text: str) -> orbits.Partition:
-    from . import orbits
-
-    try:
-        parts = tuple([int(t) for t in text.split(",")])
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse partition {text!r}: {exc}", hint='write it like "3,1,1"') from exc
-    return orbits.Partition(parts)
-
-
 def _parse_subset(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
-    try:
-        indices = [int(t) for t in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse subset {text!r}: {exc}", hint='write it like "1,3"') from exc
     subset: set[int] = set()
-    for i in indices:
+    for i in _integers(text, "subset", "1,3"):
         if i in subset:
             raise _UsageError(f"subset {text!r} repeats index {i}", hint="list each index once")
         subset.add(i)
     return frozenset(subset)
+
+
+def matrix_to_json(x: sln.SlnElement) -> dict:
+    """Matrix JSON with rationals rendered as exact strings."""
+    return {"n": x.n, "entries": [[str(v) for v in row] for row in x.entries]}
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json.loads keeps the last of repeated keys, so {"n": 2, "n": 3} would read as n = 3
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"matrix JSON repeats a key: {json.dumps([k for k, _ in pairs])}")
+    return obj
+
+
+def _json_entry(v) -> Fraction:
+    # a JSON float has lost its exact value in binary by now, and a boolean is not a number
+    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, str) and re.fullmatch(_EXACT, v):
+        return Fraction(v)
+    raise ValueError(f'matrix entries must be integers or strings like "1/2", got {json.dumps(v)}')
+
+
+def matrix_from_json(obj) -> sln.SlnElement:
+    """Read {"n": ..., "entries": [[...]]}, as JSON text or a dict, with no other key.
+
+    n is an integer up to MAX_N, checked before any entry is read, and each
+    entry an integer or a string "p" or "p/q".
+    """
+    from . import sln
+
+    if isinstance(obj, str):
+        obj = json.loads(obj, object_pairs_hook=_unique_keys)
+    if not isinstance(obj, dict) or sorted(obj) != ["entries", "n"]:
+        raise ValueError('matrix JSON must be {"n": ..., "entries": [[...]]}, with no other key')
+    n, rows = obj["n"], obj["entries"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {json.dumps(n)}")
+    _check_limit("matrix n", n, MAX_N)
+    if not isinstance(rows, list) or len(rows) != n or not all(isinstance(row, list) and len(row) == n for row in rows):
+        raise ValueError(f"entries must be a list of rows, {n} rows of {n} entries each")
+    return sln.SlnElement.from_rows([[_json_entry(v) for v in row] for row in rows])
 
 
 def _load_matrix(path: str) -> sln.SlnElement:
@@ -124,11 +168,11 @@ def _load_matrix(path: str) -> sln.SlnElement:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}", hint="check the file path") from exc
-    from . import sln
-
     try:
-        return sln.matrix_from_json(text)
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+        return matrix_from_json(text)
+    except _LimitError:
+        raise
+    except (ValueError, RecursionError) as exc:  # json.loads recurses once per nesting level
         raise _UsageError(
             f"malformed matrix JSON in {path}: {exc}",
             hint='expected {"n": 2, "entries": [["0", "1"], ["0", "0"]]}',
@@ -139,8 +183,7 @@ def _root_system(args) -> rootsys.RootSystem:
     from . import rootsys
 
     ctype = rootsys.CartanType(args.type, args.rank)
-    if ctype.rank > MAX_RANK:
-        raise ValueError(f"--rank {ctype.rank} is above the limit of {MAX_RANK}")
+    _check_limit("--rank", ctype.rank, MAX_RANK)
     return rootsys.build_root_system(ctype)
 
 
@@ -201,8 +244,8 @@ def _cmd_jordan(args):
 
     pair = sln.jordan_chevalley(x)
     return {
-        "semisimple": sln.matrix_to_json(pair.semisimple_part),
-        "nilpotent": sln.matrix_to_json(pair.nilpotent_part),
+        "semisimple": matrix_to_json(pair.semisimple_part),
+        "nilpotent": matrix_to_json(pair.nilpotent_part),
     }
 
 
@@ -245,23 +288,14 @@ def _cmd_triple(args):
 
 def _cmd_jm(args):
     x = _load_matrix(args.matrix)
-    from . import sln, triples
+    from . import triples
 
     t = triples.jacobson_morozov_sln(x)
-    return {
-        "x": sln.matrix_to_json(t.x),
-        "h": sln.matrix_to_json(t.h),
-        "y": sln.matrix_to_json(t.y),
-    }
-
-
-def _check_n(n: int) -> None:
-    if n > MAX_N:
-        raise ValueError(f"--n {n} is above the limit of {MAX_N}")
+    return {"x": matrix_to_json(t.x), "h": matrix_to_json(t.h), "y": matrix_to_json(t.y)}
 
 
 def _cmd_poset(args):
-    _check_n(args.n)
+    _check_limit("--n", args.n, MAX_N)
     from . import orbits
 
     poset = orbits.hasse_diagram(args.n)
@@ -271,11 +305,11 @@ def _cmd_poset(args):
 
 
 def _cmd_closure(args):
-    _check_n(args.n)
+    _check_limit("--n", args.n, MAX_N)
     from . import orbits
 
-    lower = _parse_partition(args.lower)
-    upper = _parse_partition(args.upper)
+    lower = orbits.Partition(_integers(args.lower, "partition", "3,1,1"))
+    upper = orbits.Partition(_integers(args.upper, "partition", "3,1,1"))
     if lower.n != args.n or upper.n != args.n:
         raise _UsageError(
             f"--n {args.n} does not match the partitions: --lower sums to {lower.n}, --upper to {upper.n}",
@@ -331,17 +365,19 @@ def _cmd_minorbit(args):
 
 def _add_type_rank(p: argparse.ArgumentParser):
     p.add_argument("--type", required=True, choices=list("ABCDEFG"), help="Cartan family")
-    p.add_argument("--rank", required=True, type=int, help=f"rank of the root system (at most {MAX_RANK})")
+    p.add_argument("--rank", required=True, type=integer, help=f"rank of the root system (at most {MAX_RANK})")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lieorbits", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, matrices=()):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        for flag in matrices:
+            p.add_argument(flag, required=True, help=f"matrix JSON file (n at most {MAX_N})")
         return p
 
     p = add("roots", _cmd_roots, "emit the full root system as JSON")
@@ -358,37 +394,25 @@ def _build_parser() -> _Parser:
     p = add("w0", _cmd_w0, "reduced word for the longest Weyl element")
     _add_type_rank(p)
 
-    p = add("killing", _cmd_killing, "Killing form of two matrices")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--other", required=True, help="second matrix JSON file")
-
-    p = add("jordan", _cmd_jordan, "Jordan decomposition of a matrix")
-    p.add_argument("--matrix", required=True)
-
-    p = add("phi", _cmd_phi, "adjoint-quotient invariants (characteristic coefficients)")
-    p.add_argument("--matrix", required=True)
-
-    p = add("orbit-dim", _cmd_orbit_dim, "orbit and centralizer dimensions")
-    p.add_argument("--matrix", required=True)
-
-    p = add("same-orbit", _cmd_same_orbit, "conjugacy test for rational spectra")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--other", required=True)
+    add("killing", _cmd_killing, "Killing form of two matrices", ("--matrix", "--other"))
+    add("jordan", _cmd_jordan, "Jordan decomposition of a matrix", ("--matrix",))
+    add("phi", _cmd_phi, "adjoint-quotient invariants (characteristic coefficients)", ("--matrix",))
+    add("orbit-dim", _cmd_orbit_dim, "orbit and centralizer dimensions", ("--matrix",))
+    add("same-orbit", _cmd_same_orbit, "conjugacy test for rational spectra", ("--matrix", "--other"))
 
     p = add("triple", _cmd_triple, "principal sl2-triple data for a Cartan type")
     _add_type_rank(p)
 
-    p = add("jm", _cmd_jm, "complete a nilpotent matrix to an sl2-triple")
-    p.add_argument("--matrix", required=True)
+    add("jm", _cmd_jm, "complete a nilpotent matrix to an sl2-triple", ("--matrix",))
 
     p = add("poset", _cmd_poset, "nilpotent orbit poset for traceless n x n matrices")
-    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_N})")
+    p.add_argument("--n", required=True, type=integer, help=f"matrix size (at most {MAX_N})")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--json", action="store_true", help="JSON output (the default)")
     grp.add_argument("--dot", action="store_true", help="DOT output")
 
     p = add("closure", _cmd_closure, "closure comparison of two orbit partitions")
-    p.add_argument("--n", required=True, type=int, help=f"matrix size (at most {MAX_N})")
+    p.add_argument("--n", required=True, type=integer, help=f"matrix size (at most {MAX_N})")
     p.add_argument("--lower", required=True, help='partition like "2,2,2"')
     p.add_argument("--upper", required=True, help='partition like "3,1,1,1"')
 
@@ -415,42 +439,32 @@ def _raise_site(exc: BaseException) -> str:
     return f"{frame.f_globals.get('__name__', '?')}.{frame.f_code.co_name}"
 
 
-def _write(payload, out_path: str | None, stream) -> None:
+def _write(payload, out_path: str | None) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        stream.write(text)
+    try:
+        if out_path:
+            Path(out_path).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}", hint="check --out") from exc
 
 
 def main(argv=None) -> int:
-    stream = sys.stdout
     try:
         args = _build_parser().parse_args(argv)
+        _write(args.func(args), args.out)
+        return 0
     except _UsageError as exc:
-        stream.write(json.dumps({"error": str(exc), "hint": exc.hint}) + "\n")
-        return 2
-    try:
-        payload = args.func(args)
-    except _UsageError as exc:
-        stream.write(json.dumps({"error": str(exc), "hint": exc.hint}) + "\n")
-        return 2
+        code, error, hint = 2, str(exc), exc.hint
     except ValueError as exc:
-        kind = f"{type(exc).__module__}.{type(exc).__qualname__}"
-        hint = _DOMAIN_HINTS.get(kind, "see --help of the subcommand for the expected inputs")
-        stream.write(json.dumps({"error": str(exc), "hint": hint}) + "\n")
-        return 1
+        code, error = 1, str(exc)
+        hint = getattr(exc, "hint", "see --help of the subcommand for the expected inputs")
     except RuntimeError as exc:
-        error = f"self-check failed in {_raise_site(exc)}: {exc}"
+        code, error = 3, f"self-check failed in {_raise_site(exc)}: {exc}"
         hint = "this is a bug in lieorbits; please report it with the input that triggered it"
-        stream.write(json.dumps({"error": error, "hint": hint}) + "\n")
-        return 3
-    try:
-        _write(payload, args.out, stream)
-    except OSError as exc:
-        stream.write(json.dumps({"error": f"cannot write output: {exc}", "hint": "check --out"}) + "\n")
-        return 2
-    return 0
+    sys.stdout.write(json.dumps({"error": error, "hint": hint}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -20,9 +20,7 @@ of ad(x) a closed form in the traces of powers of x.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -32,6 +30,8 @@ from .linalg import Matrix, Poly
 
 class IrrationalSpectrumError(ValueError):
     """Raised when an operation needs rational eigenvalues and they are not."""
+
+    hint = "conjugacy testing supports rational eigenvalues only"
 
 
 class SlnElement(namedtuple("SlnElement", "n entries")):
@@ -322,36 +322,3 @@ def kks_matrix(x: SlnElement) -> Matrix:
         rows.append(row)
     return rows
 
-
-def matrix_to_json(x: SlnElement) -> dict:
-    """Matrix JSON with rationals rendered as exact strings."""
-    return {"n": x.n, "entries": [[str(v) for v in row] for row in x.entries]}
-
-
-# [+-]digits or [+-]digits/digits, the denominator nonzero; Fraction alone would also take
-# "1/0" (ZeroDivisionError) and "1e10000000" (an exact 10^(10^7), seconds to build)
-_EXACT_ENTRY = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"  # compiled on first use, by re.fullmatch
-
-
-def _json_entry(v) -> Fraction:
-    # a JSON float has lost its exact value in binary by now, and a boolean is not a number
-    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, str) and re.fullmatch(_EXACT_ENTRY, v):
-        return Fraction(v)
-    raise ValueError(f'matrix entries must be integers or strings like "1/2", got {json.dumps(v)}')
-
-
-def matrix_from_json(obj) -> SlnElement:
-    """Read {"n": ..., "entries": [[...]]}: n an integer, each entry an integer or a string "p" or "p/q"."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
-        raise ValueError('matrix JSON must be {"n": ..., "entries": [[...]]}')
-    n, rows = obj["n"], obj["entries"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {json.dumps(n)}")
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError("entries must be a list of rows, each a list")
-    x = SlnElement.from_rows([[_json_entry(v) for v in row] for row in rows])
-    if x.n != n:
-        raise ValueError(f"entry shape {x.n} disagrees with declared n = {n}")
-    return x

@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieorbits import linalg
-from lieorbits.cli import main
+from lieorbits.cli import _parse_torus, main
+from lieorbits.ssorbits import GaussianRational
 
 
 def run(capsys, argv):
@@ -365,7 +369,18 @@ def test_rank_and_poset_limits(capsys):
 
 
 def test_help_lists_the_limits(capsys):
-    for argv in (["--help"], ["roots", "--help"], ["poset", "--help"], ["closure", "--help"]):
+    for argv in (
+        ["--help"],
+        ["roots", "--help"],
+        ["poset", "--help"],
+        ["closure", "--help"],
+        ["killing", "--help"],
+        ["jordan", "--help"],
+        ["phi", "--help"],
+        ["orbit-dim", "--help"],
+        ["same-orbit", "--help"],
+        ["jm", "--help"],
+    ):
         with pytest.raises(SystemExit):
             main(argv)
         assert "at most 40" in capsys.readouterr().out
@@ -395,13 +410,98 @@ def test_matrix_entry_strings_keep_the_error_contract(tmp_path_factory, entry, c
     _check_contract([command, "--matrix", str(path)])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(text=_SHORT, flag=st.sampled_from(["--h", "--subset", "--lower", "--upper"]))
+@settings(derandomize=True, max_examples=90, deadline=None)  # 15 a flag, as with 60 for four
+@given(text=_SHORT, flag=st.sampled_from(["--h", "--subset", "--lower", "--upper", "--rank", "--n"]))
 def test_flag_strings_keep_the_error_contract(text, flag):
     argv = {
+        "--rank": ["roots", "--type", "A", f"--rank={text}"],
+        "--n": ["poset", f"--n={text}"],
         "--h": ["ssorbit", "--type", "B", "--rank", "2", f"--h={text}"],
         "--subset": ["parabolic", "--type", "B", "--rank", "3", f"--subset={text}"],
         "--lower": ["closure", "--n", "4", f"--lower={text}", "--upper", "2,2"],
         "--upper": ["closure", "--n", "4", "--lower", "2,1,1", f"--upper={text}"],
     }[flag]
     _check_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "A", "--rank", "\u0663"],  # int() reads a non-ASCII digit
+        ["roots", "--type", "A", "--rank", "1_0"],  # and an underscore
+        ["roots", "--type", "A", "--rank", " 3"],  # and surrounding spaces
+        ["poset", "--n", "\u0663"],
+        ["parabolic", "--type", "A", "--rank", "3", "--subset", "1_0"],
+        ["parabolic", "--type", "A", "--rank", "3", "--subset", " 1"],
+        ["closure", "--n", "4", "--lower", "2, 2", "--upper", "3,1"],
+    ],
+)
+def test_numbers_are_ascii_integers(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    one_json_line(out)
+
+
+def test_torus_spaces_only_around_the_joining_sign_and_before_i(capsys):
+    half = Fraction(1, 2)
+    for h, coords in (
+        ("1 + 1/2 i,2", [(1, half), (2, 0)]),
+        ("3 i,0", [(0, 3), (0, 0)]),
+        ("+1,007", [(1, 0), (7, 0)]),
+        ("1/2+3 i,-1/2 - i", [(half, 3), (-half, -1)]),
+    ):
+        assert _parse_torus(h, 2).coords == tuple([GaussianRational(Fraction(a), Fraction(b)) for a, b in coords])
+        code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", h])
+        assert code == 0 and set(json.loads(out)) >= {"in_D", "Pi_h"}, h
+    for h in ("1 0,0", "1/ 2,0", " 1,0", "1, 0", "- 3 i,0", "1 +- 2 i,0", "1 2 i,0"):
+        code, out = run(capsys, ["ssorbit", "--type", "A", "--rank", "2", "--h", h])
+        assert code == 2 and one_json_line(out)["error"].startswith("cannot parse --h"), h
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"n": 2, "n": 3, "entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "repeats a key"),
+        ('{"n": 2, "entries": [["0", "1"], ["0", "0"]], "comment": "x"}', "no other key"),
+        ('{"n": 2, "entries": [["0", "1"], ["0", "0"]], "entries": [["0", "0"], ["1", "0"]]}', "repeats a key"),
+        ('{"entries": [["0", "1"], ["0", "0"]]}', "no other key"),
+        ('[["0", "1"], ["0", "0"]]', "no other key"),
+        ('{"n": 1, "entries": [["0", "1"], ["0", "0"]]}', "1 rows of 1 entries"),
+        ('{"n": 2, "entries": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),  # exited 3, as a bug
+    ],
+)
+def test_matrix_file_has_exactly_n_and_entries(capsys, tmp_path, text, error):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out = run(capsys, ["phi", "--matrix", str(path)])
+    assert code == 2
+    message = one_json_line(out)["error"]
+    assert message.startswith("malformed matrix JSON") and error in message
+
+
+def test_matrix_size_limit(capsys, tmp_path):
+    big = write_matrix(tmp_path, "big.json", 40, [[str(i - j) for j in range(40)] for i in range(40)])
+    code, out = run(capsys, ["phi", "--matrix", big])
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 39
+    # the declared n is checked before the entries are read
+    for entries in ([["0"] * 41] * 41, "not a matrix"):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 41, "entries": entries}))
+        for argv in (["phi", "--matrix", str(path)], ["same-orbit", "--matrix", big, "--other", str(path)]):
+            code, out = run(capsys, argv)
+            assert code == 1
+            assert one_json_line(out)["error"] == "matrix n 41 is above the limit of 40"
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for name, body in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", block, flags=re.S):
+            (tmp_path / name).write_text(body)
+        calls += [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("lieorbits ")]
+    assert len(calls) >= 16
+    for argv in calls:
+        code, out = run(capsys, argv)
+        assert code == 0, (argv, out)

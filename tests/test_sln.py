@@ -27,6 +27,7 @@ from helpers import (
     rand_unimodular,
 )
 from lieorbits import linalg
+from lieorbits.cli import matrix_from_json, matrix_to_json
 from lieorbits.orbits import partitions
 from lieorbits.sln import (
     IrrationalSpectrumError,
@@ -43,8 +44,6 @@ from lieorbits.sln import (
     killing,
     kks_form,
     kks_matrix,
-    matrix_from_json,
-    matrix_to_json,
     orbit_dim,
     rational_eigenvalues,
     same_orbit,

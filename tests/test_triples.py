@@ -8,9 +8,10 @@ import pytest
 
 from helpers import conjugate, rand_nilpotent, rand_unimodular
 from lieorbits import linalg
+from lieorbits.cli import matrix_to_json
 from lieorbits.orbits import jordan_matrix, partitions
 from lieorbits.rootsys import CartanType, build_root_system
-from lieorbits.sln import SlnElement, ad_matrix, centralizer_dim, matrix_to_json, orbit_dim
+from lieorbits.sln import SlnElement, ad_matrix, centralizer_dim, orbit_dim
 from lieorbits.triples import (
     MatrixTriple,
     jacobson_morozov_sln,
