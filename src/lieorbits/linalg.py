@@ -5,21 +5,22 @@ lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances.  The matrix kernels run on integer scalings d*a, d the
 lcm of the denominators of a, and build Fractions only for their results:
 mat_mul multiplies the two scalings in ints (mat_vec is mat_mul against one
-column).  One fraction-free Gauss-Jordan pass is the only elimination: rank
-counts its pivots, rref divides its integer rows by the last pivot (int input
-gives Fraction output too), and nullspace, solve and inverse read their
-answers off rref.  charpoly is Faddeev-LeVerrier on d*a; invariant_factors
-grows a Krylov basis of d*a, tests each new vector against an integer echelon
-of the basis, takes the relations from one rref and their Smith form over
-Q[t].  Every division in the polynomial routines is exact, and rational_roots
-bisects with a Sturm chain, in a number of steps bounded by the bit length of
-the coefficients.
+column).  One fraction-free Gauss-Jordan elimination, fed one integer row at
+a time, is the only one: rank counts the rows it keeps, rref sorts them by
+pivot and divides by the last pivot (int input gives Fraction output too),
+and nullspace, solve and inverse read their answers off rref.  charpoly is
+Faddeev-LeVerrier on d*a; invariant_factors grows a Krylov basis of d*a from
+a dense start vector, tests each new vector with the same elimination, takes
+the relations from one rref and their Smith form over Q[t].  Every division
+in the polynomial routines is exact, and rational_roots bisects with a Sturm
+chain, in a number of steps bounded by the bit length of the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress, count
+from math import lcm
 from operator import mul
 
 Matrix = list[list[Fraction]]
@@ -102,49 +103,63 @@ def _integer_scaled(a) -> tuple[int, list[list[int]]]:
     return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
-def _gauss_jordan(m) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination: Bareiss's update on every row.
+class _Echelon:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), one integer row at a time.
 
-    Rows are first scaled to integers, which changes neither rank nor rref.
-    At each pivot p every other row becomes (p*row - f*top) // prev, prev the
-    pivot before, and each division is exact (Sylvester's identity).  Returns
-    the integer rows, the pivot columns and the last pivot, which every pivot
-    entry then equals; the rows below the pivot rows are zero.
+    The kept rows span the rows inserted so far.  Each is zero before its
+    pivot column and at the other pivot columns, and equals d, the last
+    pivot, at its own: divided by d and sorted by pivot they are the rref.
     """
-    rows = [_integer_scaled([row])[1][0] for row in m]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots: list[int] = []
-    prev = 1
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                if f or p != prev:
-                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(c)
-        prev = p
-    return rows, pivots, prev
+
+    def __init__(self, m=()):
+        """The elimination of the rows of m, scaled to integers first (which changes neither rank nor rref)."""
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.d = 1
+        for row in _integer_scaled(m)[1]:
+            self.insert(row)
+
+    def insert(self, v: list[int]) -> bool:
+        """Eliminate the integer row v; keep what remains, and return whether v was independent.
+
+        v becomes w = d*v - sum_k v[c_k]*row_k, the row the batch elimination
+        would reach.  If w != 0, with p = w[c] at its first nonzero column c,
+        each kept row becomes (p*row - row[c]*w) // d, exact by Sylvester's
+        identity, and w joins them with pivot c.
+        """
+        d = self.d
+        w = v if d == 1 else [d * x for x in v]  # rows are replaced, never changed in place
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        c = next(compress(count(), w), None)
+        if c is None:
+            return False
+        p = w[c]
+        rows = self.rows
+        for k, row in enumerate(rows):
+            f = row[c]
+            if f or p != d:
+                rows[k] = [(p * x - f * y) // d for x, y in zip(row, w)]
+        rows.append(w)
+        self.pivots.append(c)
+        self.d = p
+        return True
 
 
 def rank(m: Matrix) -> int:
-    """Rank: the number of pivots of the fraction-free Gauss-Jordan pass."""
-    return len(_gauss_jordan(m)[1])
+    """Rank: the number of rows the fraction-free elimination keeps."""
+    return len(_Echelon(m).rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows, pivots, p = _gauss_jordan(m)
-    return [[Fraction(x, p) for x in row] for row in rows], pivots
+    e = _Echelon(m)
+    kept = sorted(zip(e.pivots, e.rows))
+    red = [[Fraction(x, e.d) for x in row] for _, row in kept]
+    red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(kept))]
+    return red, [c for c, _ in kept]
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -210,33 +225,34 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     """The monic non-unit invariant factors f_1 | ... | f_k of a, smallest first.
 
     Works on the integer matrix A = d*a (d the lcm of the denominators of
-    a).  A Krylov basis is built block by block from e_1, e_2, ...: each
-    block v, Av, A^2 v, ... stops at its first power that depends on the
-    basis so far, which one reduction against an integer echelon of the
-    basis decides.  One rref([K | tails]) writes every block's tail A^m_j v_j
-    over the basis, which gives the relation
-    g_j(A) v_j = sum_(l<j) h_lj(A) v_l; the Smith form of the relation matrix
-    over Q[t] has A's invariant factors on its diagonal, and f(t) of A maps
-    back to f(d t)/d^deg(f) for a.  Raises RuntimeError unless the degrees
-    sum to n and the product equals charpoly(a).
+    a).  A Krylov basis is built block by block from (1, 2, ..., n), then
+    e_1, e_2, ...: each block v, Av, A^2 v, ... stops at its first power
+    that depends on the basis so far, which the incremental elimination
+    decides.  The dense start keeps the blocks, and so the relation matrix,
+    few where unit vectors alone would split A into many short blocks.  One
+    rref([K | tails]) writes every block's tail A^m_j v_j over the basis,
+    which gives the relation g_j(A) v_j = sum_(l<j) h_lj(A) v_l; the Smith
+    form of the relation matrix over Q[t] has A's invariant factors on its
+    diagonal, and f(t) of A maps back to f(d t)/d^deg(f) for a.  Raises
+    RuntimeError unless the degrees sum to n and the product equals
+    charpoly(a).
     """
     n = len(a)
     d, ai = _integer_scaled(a)
     basis: list[list[int]] = []  # Krylov vectors A^i v_j, block after block
-    echelon: list[tuple[int, list[int]]] = []  # the same span, reduced
+    span = _Echelon()
     sizes: list[int] = []
     tails: list[list[int]] = []
-    for j in range(n):
+    for v in [list(range(1, n + 1))] + [[int(i == j) for i in range(n)] for j in range(n)]:
         if len(basis) == n:
             break
-        v = [int(i == j) for i in range(n)]
-        if not _echelon_insert(echelon, v):
+        if not span.insert(v):
             continue
         start = len(basis)
         while True:
             basis.append(v)
             v = [sum(map(mul, row, v)) for row in ai]
-            if not _echelon_insert(echelon, v):
+            if not span.insert(v):
                 break
         sizes.append(len(basis) - start)
         tails.append(v)
@@ -255,30 +271,6 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     if sum(len(f) - 1 for f in factors) != n or product != charpoly(a):
         raise RuntimeError("invariant factors disagree with the characteristic polynomial")
     return factors
-
-
-def _echelon_insert(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
-    """Reduce the integer vector v against the echelon rows; keep what remains.
-
-    Each row is zero at the pivot columns of the rows before it, so one pass
-    in order clears every pivot column of v, fraction-free: at pivot p the
-    step is v <- (p*v - f*row)/g with f = v[pivot] and g = gcd(p, f).  If
-    something nonzero remains, it is divided by its gcd and appended with its
-    first nonzero column as pivot, and True is returned: v was independent.
-    """
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            p = row[c]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            v = [p * x - f * y for x, y in zip(v, row)]
-    c = next((i for i, x in enumerate(v) if x), None)
-    if c is None:
-        return False
-    g = gcd(*v)
-    echelon.append((c, [x // g for x in v]))
-    return True
 
 
 def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:

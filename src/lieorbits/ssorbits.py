@@ -22,12 +22,13 @@ from fractions import Fraction
 
 from .rootsys import (
     ParabolicData,
+    ReducedWord,
     Root,
     RootSystem,
+    _w0_walk,
     apply_word_root,
     dominant_values,
     dual_subset,
-    longest_element,
     parabolic_data,
     simple_root_values,
     solve_coroot_coords,
@@ -180,9 +181,10 @@ def verify_dual_parabolic(rs: RootSystem, subset) -> DualParabolicReport:
     exactly the Levi root set; (c) the positive Levi root counts agree.
     """
     s = frozenset(subset)
-    sv = dual_subset(rs, s)
-    w0 = longest_element(rs)
     pd_s: ParabolicData = parabolic_data(rs, s)
+    letters, sigma = _w0_walk(rs)
+    w0 = ReducedWord(letters)
+    sv = frozenset([sigma[i - 1] for i in s])  # parabolic_data has checked each index
     pd_sv: ParabolicData = parabolic_data(rs, sv)
 
     image = {apply_word_root(rs, w0, r) for r in pd_sv.delta_s_minus}
@@ -192,13 +194,12 @@ def verify_dual_parabolic(rs: RootSystem, subset) -> DualParabolicReport:
     p_dual_roots = {apply_word_root(rs, w0, r) for r in rs.positive_roots} | image
     inter = p_s_roots & p_dual_roots
     inter_ok = inter == set(pd_s.delta_s)
-    ordered = tuple(sorted(inter, key=lambda r: (r.height, r.coeffs)))
 
     return DualParabolicReport(
         subset=s,
         dual=sv,
         w0_image_is_plus=w0_ok,
-        intersection_roots=ordered,
+        intersection_roots=tuple([r for r in rs.roots if r in inter]),
         intersection_is_levi=inter_ok,
         dim_intersection=rs.rank + len(inter),
         dim_l=pd_s.dim_l,

@@ -1,4 +1,4 @@
-"""Seeded random generators and slow oracles shared by the test modules.
+"""Seeded random generators, slow oracles and a time bound shared by the test modules.
 
 All samples are exact rational matrices.  Conjugation uses products of
 integer shear matrices, so inverses are exact and determinants are 1; the
@@ -7,7 +7,9 @@ shears and the conjugation use their own arithmetic, not linalg's products.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 from lieorbits import linalg
@@ -21,6 +23,50 @@ def rand_traceless(rng: random.Random, n: int, bound: int = 4) -> SlnElement:
     rows = [[Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2))) for _ in range(n)] for _ in range(n)]
     rows[n - 1][n - 1] -= sum(rows[i][i] for i in range(n))
     return SlnElement.from_rows(rows)
+
+
+@contextlib.contextmanager
+def time_bound(seconds: float, what: str):
+    """Raise TimeoutError in the block once it has run for seconds (SIGALRM: POSIX, main thread).
+
+    A call that has become unbounded then fails the test instead of hanging the suite.
+    """
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took more than {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def naive_rref(m):
+    """(rref, pivot columns) by plain Fraction Gauss-Jordan, sharing no code with linalg: the oracle."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nr, nc = len(a), len(a[0]) if a else 0
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        top = a[piv]
+        a[piv] = a[r]
+        a[r] = top = [x / top[c] for x in top]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], top)]
+        pivots.append(c)
+    return a, pivots
+
+
+def naive_rank(m) -> int:
+    return len(naive_rref(m)[1])
 
 
 def plain_mul(a, b):

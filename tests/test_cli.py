@@ -3,7 +3,6 @@ import io
 import json
 import re
 import shlex
-import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import time_bound
 from lieorbits import linalg
 from lieorbits.cli import _parse_torus, main
 from lieorbits.ssorbits import GaussianRational
@@ -151,16 +151,8 @@ def test_same_orbit_with_huge_eigenvalues_is_bounded(capsys, tmp_path):
     big = write_matrix(tmp_path, "big.json", 2, [["1000000000000", "0"], ["0", "-1000000000000"]])
     swap = write_matrix(tmp_path, "swap.json", 2, [["-1000000000000", "0"], ["0", "1000000000000"]])
 
-    def too_slow(signum, frame):
-        raise TimeoutError("same-orbit took more than 1 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_bound(1.0, "same-orbit"):
         code, out = run(capsys, ["same-orbit", "--matrix", big, "--other", swap])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0 and json.loads(out) == {"same_orbit": True}
 
 

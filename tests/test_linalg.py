@@ -7,25 +7,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_rank, naive_rref, plain_mul
 from lieorbits import linalg
 
 
-def naive_rank(m):
-    # plain fraction Gauss, independent of the Bareiss path
-    a = [row[:] for row in m]
-    nr, nc = len(a), len(a[0]) if a else 0
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+def F(*xs):
+    return [Fraction(x) for x in xs]
 
 
 def rand_matrix(rng, nr, nc):
@@ -40,6 +27,68 @@ def test_rank_matches_fraction_gauss():
         assert linalg.rank(m) == naive_rank(m)
     assert linalg.rank([]) == 0
     assert linalg.rank([[Fraction(0)] * 3]) == 0
+
+
+def column(v):
+    return [[x] for x in v]
+
+
+def check_elimination(m):
+    # rank and rref against plain Fraction Gauss-Jordan; nullspace, solve and inverse by their defining products
+    red, pivots = naive_rref(m)
+    assert linalg.rref(m) == (red, pivots)
+    assert linalg.rank(m) == len(pivots)
+    if not m:
+        return
+    nr, nc = len(m), len(m[0])
+    free = [c for c in range(nc) if c not in pivots]
+    kernel = linalg.nullspace(m)
+    assert len(kernel) == len(free)
+    for f, v in zip(free, kernel):
+        assert plain_mul(m, column(v)) == [[0]] * nr
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+    if nr != nc:
+        return
+    if len(pivots) < nc:
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.solve(m, [Fraction(1)] * nc)
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.inverse(m)
+        return
+    b = [Fraction(i - 2, 3) for i in range(nc)]
+    assert plain_mul(m, column(linalg.solve(m, b))) == column(b)
+    assert plain_mul(m, linalg.inverse(m)) == [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+
+ELIMINATION_CASES = [
+    [],  # empty
+    [[], [], []],  # three rows, no columns
+    [F(0, 0, 0), F(0, 0, 0)],  # all zero
+    [F(1, 2), F(2, 4), F(0, 3), F("1/2", 1), F(-1, 0)],  # tall
+    [F(0, 2, 4, 0, 6), F(0, 1, 2, 3, "1/2"), F(0, 0, 0, 5, 5)],  # wide, zero first column
+    [F("1/3", "-2/7", 5), F("3/2", 0, "1/9"), F("2/3", "-4/7", 10)],  # Fraction entries, rank 2
+    [[1, 2], [3, 4]],  # int entries
+    [F(0, 0, 1), F(0, 1, 0), F(1, 0, 0)],  # pivots inserted right to left
+]
+
+
+@pytest.mark.parametrize("m", ELIMINATION_CASES)
+def test_elimination_edge_cases_against_plain_gauss_jordan(m):
+    check_elimination(m)
+
+
+def test_elimination_against_plain_gauss_jordan_and_row_order():
+    rng = random.Random(29)
+    for _ in range(150):
+        nr, nc, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4)
+        m = rand_matrix(rng, nr, nc)
+        if rng.random() < 0.6:  # through k inner columns the rank is at most k, so rows often depend
+            m = plain_mul(rand_matrix(rng, nr, k), rand_matrix(rng, k, nc))
+        check_elimination(m)
+        shuffled = m[:]
+        rng.shuffle(shuffled)
+        assert linalg.rref(shuffled) == linalg.rref(m)
+    assert linalg.inverse([]) == [] and linalg.solve([], []) == []
 
 
 def test_nullspace_vectors_are_killed_and_count_matches():
@@ -154,10 +203,6 @@ def systems():
         )
 
     return st.tuples(entries, shapes).flatmap(lambda es: system(es[0], *es[1]))
-
-
-def F(*xs):
-    return [Fraction(x) for x in xs]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

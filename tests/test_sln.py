@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from helpers import (
     ad_nullity,
     conjugate,
+    naive_rank,
     plain_mul,
     rand_jordan_type,
     rand_nilpotent,
@@ -25,10 +26,11 @@ from helpers import (
     rand_rational_spectrum,
     rand_traceless,
     rand_unimodular,
+    time_bound,
 )
 from lieorbits import linalg
 from lieorbits.cli import matrix_from_json, matrix_to_json
-from lieorbits.orbits import partitions
+from lieorbits.orbits import Partition, orbit_dim_partition, partitions
 from lieorbits.sln import (
     IrrationalSpectrumError,
     SlnElement,
@@ -203,6 +205,25 @@ def test_centralizer_and_orbit_dims():
     reg4 = SlnElement.from_rows([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
     assert orbit_dim(reg4) == 12
     assert orbit_dim(E(3, 1, 2)) == 4
+
+
+def test_orbit_dim_of_strictly_upper_triangular_40x40_is_bounded():
+    # unit start vectors split such a matrix into about n Krylov blocks, and
+    # the Smith form of their n-square relation matrix did not finish in minutes
+    n = 40
+    rng = random.Random(1)
+    a = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    powers = [a]  # integer products, by sums of products
+    while any(map(any, powers[-1])):
+        powers.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in powers[-1]])
+    # the number of Jordan blocks of size >= k is rank(a^(k-1)) - rank(a^k)
+    ranks = [n] + [naive_rank(p) for p in powers]
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])] + [0]
+    parts = tuple(k for k in range(len(ranks) - 1, 0, -1) for _ in range(at_least[k - 1] - at_least[k]))
+    with time_bound(5.0, "orbit_dim at n = 40"):
+        dim = orbit_dim(SlnElement.from_rows(a))
+    assert dim == orbit_dim_partition(Partition(parts))
+    assert sum(parts) == n and len(parts) > 1
 
 
 def test_centralizer_lower_bound_and_regularity():

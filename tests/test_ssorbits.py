@@ -154,6 +154,20 @@ def test_dual_subset_and_compactification_dims_apply_no_word(monkeypatch):
     assert compactification_dims(e6, h) == expected == (66, 33, 33)
 
 
+def test_verify_dual_parabolic_walks_w0_once(monkeypatch):
+    e6 = build_root_system(CartanType("E", 6))
+    walks = []
+    walk = rootsys._chamber_walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(rootsys, "_chamber_walk", counted)
+    rep = verify_dual_parabolic(e6, {1, 3, 4})
+    assert rep.ok and rep.dual == {6, 5, 4} and len(walks) == 1
+
+
 @pytest.mark.parametrize("family,rank", RANK_LE_4)
 def test_orbit_dims_are_even_and_doubled(family, rank):
     rs = build_root_system(CartanType(family, rank))
