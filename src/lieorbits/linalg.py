@@ -163,7 +163,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def nullspace(m: Matrix) -> list[Vector]:
-    """Deterministic kernel basis: one vector per free column, unit there."""
+    """Deterministic kernel basis: one vector per free column, unit there.
+
+    Raises ValueError on a matrix with no rows, which carries no column count.
+    """
+    if not m:
+        raise ValueError("nullspace of a matrix with no rows: the column count is unknown")
     nc = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(nc) if c not in pivots]

@@ -15,6 +15,16 @@ holds for every Cartan type, because every root is a nonnegative or a
 nonpositive combination of the simple roots (Kostant, Amer. J. Math. 81,
 1959; Humphreys, Introduction to Lie Algebras and Representation Theory,
 10.1), and Root refuses mixed signs.
+
+Jacobson-Morozov takes its chain tops from one elimination of their
+bottoms: a candidate top of a chain of length k is a basis vector v of
+ker e^k, its bottom is e^(k-1) v, and the tops are the candidates at the
+rref pivot columns of all bottoms, stages k = d, ..., 1 in order.  Since
+e^(k-1) maps ker e^k onto ker e ∩ im e^(k-1) with kernel ker e^(k-1), and the
+height-k layer of the longer chains to their bottoms, v is independent of
+ker e^(k-1), that layer and the earlier tops of its stage exactly when its
+bottom is independent of the earlier pivots.  The chains are independent
+because their bottoms are.
 """
 
 from __future__ import annotations
@@ -89,77 +99,61 @@ def principal_triple_sln(n: int) -> MatrixTriple:
     return jacobson_morozov_sln(SlnElement.from_rows([[int(j == i + 1) for j in range(n)] for i in range(n)]))
 
 
-def _standard_block_images(g: linalg.Matrix, sizes: list[int]) -> tuple[linalg.Matrix, linalg.Matrix, linalg.Matrix]:
-    """g*J, g*H and g*F for the block-diagonal standard triple (J, H, F) with one string per block size.
-
-    J has ones on the superdiagonal of each block, H the weights s-1-2i on the
-    diagonal and F the weights (i+1)(s-i-1) below it, so the products are
-    column shifts and scalings of g and need no multiplication of matrices.
-    """
-    n = len(g)
-    gj, gh, gf = linalg.zeros(n, n), linalg.zeros(n, n), linalg.zeros(n, n)
-    off = 0
-    for s in sizes:
-        for i in range(s):
-            c = off + i
-            for r in range(n):
-                gh[r][c] = (s - 1 - 2 * i) * g[r][c]
-                if i > 0:
-                    gj[r][c] = g[r][c - 1]
-                if i + 1 < s:
-                    gf[r][c] = (i + 1) * (s - i - 1) * g[r][c + 1]
-        off += s
-    return gj, gh, gf
+def _from_columns(vectors) -> linalg.Matrix:
+    """The matrix whose columns are the given vectors."""
+    return [list(row) for row in zip(*vectors)]
 
 
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     """Complete a nilpotent traceless matrix to an sl2-triple.
 
     The powers of e decide nilpotency (ValueError if e^n is not zero) and give
-    a Jordan chain basis through the kernel filtration.  Working down from the
-    largest chain length k, the columns of one matrix are the smaller kernel,
-    the height-k layer of the chains already chosen, and then the basis of
-    ker(e^k); the new chain tops are the basis vectors whose columns are rref
-    pivot columns, i.e. the first ones independent of everything before them
-    (a deterministic choice).  The standard triple for the resulting block
-    sizes is then conjugated back through the chain basis g, so the bracket
-    relations hold exactly and h has integer spectrum; g times a standard
-    matrix is a column shift or scaling of g, which leaves three products of
-    matrices.
+    a Jordan chain basis.  For k = d, ..., 1 (d the nilpotency index) the
+    nullspace basis of e^k gives the candidate tops of length k, and one
+    product with e^(k-1) their bottoms.  The tops are the candidates at the
+    pivot columns of one rref of all bottoms: those whose bottom is
+    independent of every bottom before it (a deterministic choice).  That is
+    the stage-by-stage kernel-filtration rule: e^(k-1) kills ker e^(k-1) and
+    sends the height-k layer of the longer chains and the earlier tops of the
+    stage to their bottoms, and a bottom that is no pivot lies in the span of
+    the pivots before it.
+
+    With g the chain basis, bottom first, h scales column j of a chain of
+    length s by s-1-2j and f sends it to (j+1)(s-1-j) times column j+1.  The
+    bracket check also proves e = g J g^-1 (J the standard nilpotent): both
+    satisfy [h, x] = 2x and [x, f] = h, so their difference has ad h-weight 2
+    and is killed by ad f, which is injective on the positive ad h-weights.
     """
+    if e.is_zero():  # the general path gives h = y = 0 too, through eliminations, products and the bracket check
+        return MatrixTriple(x=e, h=e, y=e)
     n = e.n
     a = e.to_matrix()
-    if e.is_zero():
-        z = SlnElement.zero(n)
-        return MatrixTriple(x=e, h=z, y=z)
     powers = [linalg.identity(n), a]
     while not linalg.mat_is_zero(powers[-1]):
         if len(powers) > n:  # e^n is not zero
             raise ValueError("input must be nilpotent")
         powers.append(linalg.mat_mul(powers[-1], a))
     d = len(powers) - 1  # nilpotency index
-    kernels = [[] if k == 0 else linalg.nullspace(powers[k]) for k in range(d + 1)]
-    tops: list[tuple[list[Fraction], int]] = []  # (top vector, chain length)
+    candidates: list[tuple[list[Fraction], int]] = []  # (top vector, chain length)
+    bottoms = []
     for k in range(d, 0, -1):
-        # candidates from ker(e^k) follow the known columns of this stage
-        known = kernels[k - 1] + [linalg.mat_vec(powers[size - k], v) for v, size in tops if size > k]
-        _, pivots = linalg.rref([list(row) for row in zip(*known, *kernels[k])])
-        tops.extend((kernels[k][p - len(known)], k) for p in pivots if p >= len(known))
-    sizes = [s for _, s in tops]
-    if sum(sizes) != n:
+        basis = linalg.nullspace(powers[k])
+        candidates += [(v, k) for v in basis]
+        bottoms += zip(*linalg.mat_mul(powers[k - 1], _from_columns(basis)))
+    _, pivots = linalg.rref(_from_columns(bottoms))
+    tops = [candidates[p] for p in pivots]
+    if sum([s for _, s in tops]) != n:
         raise RuntimeError("Jordan chain extraction did not exhaust the space")
-    cols: list[list[Fraction]] = []
+    cols, hcols, fcols = [], [], []
     for v, s in tops:
-        for j in range(s - 1, -1, -1):
-            cols.append(linalg.mat_vec(powers[j], v))
-    g = [[cols[j][i] for j in range(n)] for i in range(n)]
-    gj, gh, gf = _standard_block_images(g, sizes)
-    # g is invertible, so e*g == g*J is the same as e == g*J*g^-1
-    if linalg.mat_mul(a, g) != gj:
-        raise RuntimeError("chain basis does not conjugate the standard form to e")
-    ginv = linalg.inverse(g)
-    h = SlnElement.from_rows(linalg.mat_mul(gh, ginv))
-    f = SlnElement.from_rows(linalg.mat_mul(gf, ginv))
+        chain = [linalg.mat_vec(powers[s - 1 - j], v) for j in range(s)] + [[0] * n]
+        for j in range(s):
+            cols.append(chain[j])
+            hcols.append([(s - 1 - 2 * j) * x for x in chain[j]])
+            fcols.append([(j + 1) * (s - 1 - j) * x for x in chain[j + 1]])
+    ginv = linalg.inverse(_from_columns(cols))
+    h = SlnElement.from_rows(linalg.mat_mul(_from_columns(hcols), ginv))
+    f = SlnElement.from_rows(linalg.mat_mul(_from_columns(fcols), ginv))
     t = MatrixTriple(x=e, h=h, y=f)
     if not verify_matrix_triple(t):
         raise RuntimeError("constructed triple violated the bracket relations")

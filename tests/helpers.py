@@ -75,6 +75,65 @@ def plain_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
 
 
+def naive_nullspace(m):
+    """Kernel basis read off naive_rref: one vector per free column, unit there."""
+    red, pivots = naive_rref(m)
+    basis = []
+    for f in [c for c in range(len(m[0])) if c not in pivots]:
+        v = [Fraction(int(c == f)) for c in range(len(m[0]))]
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def jm_by_stages(e: SlnElement):
+    """(h, y) of Jacobson-Morozov as lists of rows, by one elimination per chain length: the slow oracle.
+
+    For k = d, ..., 1 (d the nilpotency index) one rref of the columns
+    [ker e^(k-1) | the height-k layer of the chains so far | ker e^k] picks
+    the new tops of length k, the kernel vectors at pivot columns.  With g
+    the chain basis, each chain bottom first, h = g H g^-1 and y = g F g^-1
+    for the standard H (weights s-1-2j) and F (weights (j+1)(s-1-j) below
+    the diagonal).  Products, kernels and the inverse use plain Fraction
+    arithmetic, not linalg.
+    """
+    n = e.n
+    a = [list(row) for row in e.entries]
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    powers = [unit]
+    while any(map(any, powers[-1])):
+        if len(powers) > n + 1:
+            raise ValueError("not nilpotent")
+        powers.append(plain_mul(powers[-1], a))
+    d = len(powers) - 1
+
+    def chain_vector(j, v):
+        return [row[0] for row in plain_mul(powers[j], [[x] for x in v])]
+
+    kernels = [[]] + [naive_nullspace(p) for p in powers[1:]]
+    tops = []
+    for k in range(d, 0, -1):
+        known = kernels[k - 1] + [chain_vector(s - k, v) for v, s in tops if s > k]
+        _, pivots = naive_rref([list(row) for row in zip(*known, *kernels[k])])
+        tops += [(kernels[k][p - len(known)], k) for p in pivots if p >= len(known)]
+    cols = [chain_vector(s - 1 - j, v) for v, s in tops for j in range(s)]
+    big_h = [[Fraction(0)] * n for _ in range(n)]
+    big_f = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for _, s in tops:
+        for j in range(s):
+            big_h[off + j][off + j] = Fraction(s - 1 - 2 * j)
+            if j + 1 < s:
+                big_f[off + j + 1][off + j] = Fraction((j + 1) * (s - 1 - j))
+        off += s
+    g = [list(row) for row in zip(*cols)]
+    red, pivots = naive_rref([row + unit_row for row, unit_row in zip(g, unit)])
+    assert pivots == list(range(n))
+    ginv = [row[n:] for row in red]
+    return plain_mul(plain_mul(g, big_h), ginv), plain_mul(plain_mul(g, big_f), ginv)
+
+
 def rand_unimodular(rng: random.Random, n: int, shears: int | None = None):
     """A product of integer shears and its exact inverse.
 

@@ -39,6 +39,8 @@ def check_elimination(m):
     assert linalg.rref(m) == (red, pivots)
     assert linalg.rank(m) == len(pivots)
     if not m:
+        with pytest.raises(ValueError, match="no rows"):
+            linalg.nullspace(m)
         return
     nr, nc = len(m), len(m[0])
     free = [c for c in range(nc) if c not in pivots]

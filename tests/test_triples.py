@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import conjugate, rand_nilpotent, rand_unimodular
+from helpers import conjugate, jm_by_stages, plain_mul, rand_nilpotent, rand_unimodular, time_bound
 from lieorbits import linalg
 from lieorbits.cli import matrix_to_json
-from lieorbits.orbits import jordan_matrix, partitions
+from lieorbits.orbits import Partition, jordan_matrix, partitions
 from lieorbits.rootsys import CartanType, build_root_system
 from lieorbits.sln import SlnElement, ad_matrix, centralizer_dim, orbit_dim
 from lieorbits.triples import (
@@ -211,3 +211,31 @@ def test_jacobson_morozov_chain_basis_pinned():
         assert verify_matrix_triple(t)
         digest.update(json.dumps([matrix_to_json(m) for m in (t.x, t.h, t.y)]).encode())
     assert digest.hexdigest() == "3699426110738b4fdf10645e9c1a4625af0a8c2a206aab94651edef7dac2e79d"
+
+
+def test_jacobson_morozov_equals_the_per_stage_oracle():
+    # one rref of all chain bottoms picks the tops that one elimination per
+    # chain length over the kernel filtration picks, so h and y agree exactly
+    rng = random.Random(101)
+    samples = [SlnElement.zero(n) for n in range(1, 5)] + repeated_top_nilpotents()
+    samples += [rand_nilpotent(rng, n) for n in range(1, 9) for _ in range(4)]
+    for e in samples:
+        t = jacobson_morozov_sln(e)
+        assert t.x == e
+        assert ([list(row) for row in t.h.entries], [list(row) for row in t.y.entries]) == jm_by_stages(e)
+
+
+def test_jacobson_morozov_at_the_matrix_limit_is_bounded():
+    n = 40
+    rng = random.Random(1)
+    upper = SlnElement.from_rows([[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)])
+    g, gi = rand_unimodular(random.Random(2), n)
+    pairs = conjugate(g, gi, jordan_matrix(Partition((2,) * 20)))
+    for e in (upper, pairs):
+        with time_bound(5.0, "jacobson_morozov_sln at n = 40"):
+            t = jacobson_morozov_sln(e)
+        assert t.x == e and verify_matrix_triple(t)
+    # t is the triple of the 2^20 conjugate: h has eigenvalues 1 and -1 and is diagonalizable, and y squares to zero
+    h, y = t.h.to_matrix(), t.y.to_matrix()
+    assert plain_mul(h, h) == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert plain_mul(y, y) == [[0] * n for _ in range(n)]
