@@ -13,7 +13,9 @@ and the --n of poset and closure and the n of a matrix file at most 40;
 above a limit the call exits 1 and names it.  Integers (--rank, --n, the
 items of --subset, --lower and --upper) are [+-]digits in ASCII digits.
 Exact numbers (matrix entries, each part of an --h coordinate) are an
-integer or [+-]digits/digits with a nonzero denominator.  A matrix file is
+integer or [+-]digits/digits with a nonzero denominator; a value that
+starts with "-" is joined to its flag, as in --h=-1/2,0, since argparse
+reads a separate "-1/2,0" as a flag.  A matrix file is
 {"n": ..., "entries": [[...]]}, with no other key.
 """
 
@@ -188,9 +190,13 @@ def _root_system(args) -> rootsys.RootSystem:
 
 
 def _cmd_roots(args):
-    from . import rootsys
-
-    return rootsys.root_system_to_json(_root_system(args))
+    rs = _root_system(args)
+    return {
+        "type": args.type,
+        "rank": args.rank,
+        "roots": [list(r.coeffs) for r in rs.roots],
+        "cartan": [list(row) for row in rs.cartan_matrix],
+    }
 
 
 def _cmd_maxroot(args):
@@ -299,9 +305,17 @@ def _cmd_poset(args):
     from . import orbits
 
     poset = orbits.hasse_diagram(args.n)
-    if args.dot:
-        return orbits.poset_to_dot(poset)
-    return orbits.poset_to_json(poset)
+    dims = [orbits.orbit_dim_partition(p) for p in poset.nodes]
+    if args.dot:  # edges point upward in the closure order
+        lines = [f'digraph "nilpotent_orbits_n{args.n}" {{']
+        lines += [f'  n{i} [label="{p} (dim {d})"];' for i, (p, d) in enumerate(zip(poset.nodes, dims))]
+        lines += [f"  n{lo} -> n{hi};" for lo, hi in poset.covers]
+        return "\n".join(lines) + "\n}\n"
+    return {
+        "n": args.n,
+        "nodes": [{"parts": list(p.parts), "dim": d} for p, d in zip(poset.nodes, dims)],
+        "covers": [list(c) for c in poset.covers],
+    }
 
 
 def _cmd_closure(args):
@@ -341,10 +355,9 @@ def _cmd_ssorbit(args):
 def _cmd_poincare(args):
     from . import topology
 
-    rs = _root_system(args)
-    data = topology.exponents(rs)
+    data = topology.exponents(_root_system(args))
     if args.latex:
-        return topology.poincare_latex(rs) + "\n"
+        return "".join([f"(1+t^{{{d}}})" for d in data.dims]) + "\n"
     return {"type": args.type, "rank": args.rank, "dims": list(data.dims), "poly": list(data.poly)}
 
 
@@ -418,7 +431,11 @@ def _build_parser() -> _Parser:
 
     p = add("ssorbit", _cmd_ssorbit, "semisimple orbit data for a torus element")
     _add_type_rank(p)
-    p.add_argument("--h", required=True, help='coordinates over the simple coroots, like "1,0" or "1+1/2 i,2"')
+    p.add_argument(
+        "--h",
+        required=True,
+        help='coordinates over the simple coroots, like "1,0" or "1+1/2 i,2"; write --h=-1/2,0 for a leading "-"',
+    )
 
     p = add("poincare", _cmd_poincare, "principal sl2 summand dimensions and their product polynomial")
     _add_type_rank(p)

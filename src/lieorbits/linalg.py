@@ -29,8 +29,16 @@ Poly = list[Fraction]
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, string ("p" or "p/q") or Fraction to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int, string ("p" or "p/q") or Fraction to Fraction.
+
+    A float raises TypeError: Fraction would take its binary value, so 0.1
+    would become 3602879701896397/36028797018963968.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an exact int, string or Fraction")
+    return Fraction(x)
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -368,10 +376,10 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
+    r = [frac(x) for x in p]
     quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq = len(q) - 1
-    lead = q[-1]
+    lead = frac(q[-1])
     while len(poly_trim(r)) - 1 >= dq:
         r = poly_trim(r)
         shift = len(r) - 1 - dq
@@ -390,7 +398,8 @@ def poly_monic(p: Poly) -> Poly:
     p = poly_trim(p)
     if not p:
         return p
-    return [x / p[-1] for x in p]
+    lead = frac(p[-1])
+    return [x / lead for x in p]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -411,7 +420,7 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         ua, ub = ub, poly_sub(ua, poly_mul(quo, ub))
         va, vb = vb, poly_sub(va, poly_mul(quo, vb))
     if a:
-        lead = a[-1]
+        lead = frac(a[-1])
         a = [x / lead for x in a]
         ua = [x / lead for x in ua]
         va = [x / lead for x in va]

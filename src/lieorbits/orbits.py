@@ -3,8 +3,8 @@
 Orbits are labeled by partitions, ordered by dominance (prefix sums), with
 the closure order realized two independent ways: the dominance test itself
 and an exact rank oracle on powers of the Jordan representatives.  The poset
-is emitted with its covering relations, dimension labels, and deterministic
-reverse-lexicographic node order.  Covers come straight from Brylawski's rule
+is its covering relations on the partitions in deterministic
+reverse-lexicographic order.  Covers come straight from Brylawski's rule
 (T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973),
 so the diagram needs no pairwise dominance comparisons.
 """
@@ -189,22 +189,3 @@ def minimal_orbit(n: int) -> Partition:
     if n < 2:
         raise ValueError("no nonzero nilpotent orbit exists for n < 2")
     return Partition((2,) + (1,) * (n - 2))
-
-
-def poset_to_json(poset: OrbitPoset) -> dict:
-    return {
-        "n": poset.n,
-        "nodes": [{"parts": list(p.parts), "dim": orbit_dim_partition(p)} for p in poset.nodes],
-        "covers": [list(c) for c in poset.covers],
-    }
-
-
-def poset_to_dot(poset: OrbitPoset) -> str:
-    """DOT digraph with dimension-labeled nodes, edges upward in the order."""
-    lines = [f'digraph "nilpotent_orbits_n{poset.n}" {{']
-    for i, p in enumerate(poset.nodes):
-        lines.append(f'  n{i} [label="{p} (dim {orbit_dim_partition(p)})"];')
-    for lo, hi in poset.covers:
-        lines.append(f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

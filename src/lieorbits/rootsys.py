@@ -335,16 +335,6 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     )
 
 
-def root_system_to_json(rs: RootSystem) -> dict:
-    """JSON-ready dict with integer entries, roots in canonical order."""
-    return {
-        "type": rs.ctype.family,
-        "rank": rs.ctype.rank,
-        "roots": [list(r.coeffs) for r in rs.roots],
-        "cartan": [list(row) for row in rs.cartan_matrix],
-    }
-
-
 def solve_coroot_coords(rs: RootSystem, values) -> RatVector:
     """Coordinates over the simple coroots of the element with given simple-root values."""
     from . import linalg

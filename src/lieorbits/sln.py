@@ -203,8 +203,7 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     q = linalg.squarefree_part(p)
     u = None  # made by the first round that needs it; none does when p is squarefree
     sigma: Poly = [Fraction(0), Fraction(1)]
-    rounds = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
-    for _ in range(rounds):
+    for _ in range((n - 1).bit_length() + 1):  # ceil(log2 n) + 1
         qs = linalg.poly_compose_mod(q, sigma, p)
         if not qs:
             break

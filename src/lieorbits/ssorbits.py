@@ -54,10 +54,13 @@ class GaussianRational(namedtuple("GaussianRational", "re im")):
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        if isinstance(re, GaussianRational):
-            return re
+        """re + im i from exact parts; a GaussianRational re comes back as it is, so im must be 0."""
         from . import linalg
 
+        if isinstance(re, GaussianRational):
+            if linalg.frac(im):
+                raise ValueError(f"GaussianRational.of({re}, {im}) would drop the imaginary part {im}")
+            return re
         return cls(linalg.frac(re), linalg.frac(im))
 
     def is_zero(self) -> bool:

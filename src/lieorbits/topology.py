@@ -85,7 +85,3 @@ def exponents(rs: RootSystem) -> ExponentData:
 def poincare_polynomial(rs: RootSystem) -> tuple[int, ...]:
     """Coefficients of prod(1 + t^(d_j)), ascending; palindromic, value 2^rank at 1."""
     return exponents(rs).poly
-
-
-def poincare_latex(rs: RootSystem) -> str:
-    return "".join(f"(1+t^{{{d}}})" for d in exponents(rs).dims)

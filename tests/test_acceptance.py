@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Every assertion is exact; there are no tolerances anywhere in this module.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -281,27 +282,30 @@ def test_criterion_12_kks_rank_and_radical():
                         assert m[a][b] == -m[b][a]
 
 
+# each golden's argv and the sha256 of its stdout; the 20 goldens and, last,
+# the one call that covers poincare --latex
 GOLDEN = [
-    ["roots", "--type", "G", "--rank", "2", "--json"],
-    ["roots", "--type", "E", "--rank", "6"],
-    ["maxroot", "--type", "A", "--rank", "3"],
-    ["maxroot", "--type", "G", "--rank", "2"],
-    ["parabolic", "--type", "A", "--rank", "2", "--subset", "1"],
-    ["parabolic", "--type", "B", "--rank", "3", "--subset", "1,3"],
-    ["w0", "--type", "A", "--rank", "2"],
-    ["w0", "--type", "D", "--rank", "4"],
-    ["killing", "--matrix", "{h2}", "--other", "{x2}"],
-    ["jordan", "--matrix", "{mixed3}"],
-    ["phi", "--matrix", "{h2}"],
-    ["orbit-dim", "--matrix", "{e12}"],
-    ["same-orbit", "--matrix", "{e12}", "--other", "{e13}"],
-    ["triple", "--type", "A", "--rank", "3"],
-    ["jm", "--matrix", "{e12}"],
-    ["poset", "--n", "4", "--json"],
-    ["poset", "--n", "5", "--dot"],
-    ["closure", "--n", "6", "--lower", "2,2,2", "--upper", "3,1,1,1"],
-    ["ssorbit", "--type", "A", "--rank", "2", "--h", "1,1"],
-    ["minorbit", "--type", "D", "--rank", "4"],
+    (["roots", "--type", "G", "--rank", "2", "--json"], "32cf1d7842022bba7e28c666e20515fd3419589b879b141106051f327cc88c36"),
+    (["roots", "--type", "E", "--rank", "6"], "4125777083ea56f1cf588af8ff27f236603b00140c9e701e56435b533bf3f817"),
+    (["maxroot", "--type", "A", "--rank", "3"], "c963ac87fbdd910225632a8db3cc1c3c03778c48b3425a186874ca832f2578f2"),
+    (["maxroot", "--type", "G", "--rank", "2"], "a9b8a228027b191cb953224b1f5133b7734911746b22c95c9205e7f28eeef9a5"),
+    (["parabolic", "--type", "A", "--rank", "2", "--subset", "1"], "d5c004a0c270ac7260c48e6fba33f8039f157eb0f7f4be697af6c01d13bdd0df"),
+    (["parabolic", "--type", "B", "--rank", "3", "--subset", "1,3"], "696503805e399f1b172c8c7c28b2e930433983e38d2e574c91c153d1ac4b3733"),
+    (["w0", "--type", "A", "--rank", "2"], "061db20bc113190ce9e99e587036a192791ecfba20d8803932e153541bce2de5"),
+    (["w0", "--type", "D", "--rank", "4"], "07e9a3a36173c1b7bcbfa3bc86d7aaa768d94a4e86e6e41ae1b0e73ede06c65c"),
+    (["killing", "--matrix", "{h2}", "--other", "{x2}"], "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe"),
+    (["jordan", "--matrix", "{mixed3}"], "fae84c8489f674a7b6625f802165ee0ddd07359d08fe088a8cd21283fd5b6eac"),
+    (["phi", "--matrix", "{h2}"], "e46f7471904e6cd2f0cbb5a33333a8d4660597dd831b61d1c4036f1b8acc980a"),
+    (["orbit-dim", "--matrix", "{e12}"], "9e26a1a934073488fb16a261334a1bc4b8b25c0bc2c5049a1ed22143114b141a"),
+    (["same-orbit", "--matrix", "{e12}", "--other", "{e13}"], "3d7f881dd21bd666b880428795b1f293f63a9a90499f48b0035ad1625d9983ae"),
+    (["triple", "--type", "A", "--rank", "3"], "29d60764586600ac9c8cc399b0be28358b9f7ca6b40ab9308f9ce32c80c14c09"),
+    (["jm", "--matrix", "{e12}"], "048d740d492e3aa270f03f92f5bbfef9c1270c9c13c5fe6fe8ece2b57736d862"),
+    (["poset", "--n", "4", "--json"], "5b7a105f233a2150db4fd167e62b8291f3356c3e3661e057793b8e1e34cca4f3"),
+    (["poset", "--n", "5", "--dot"], "b1a0fa1e8e96f53e0d06faf01a8576e885d0c79b6e06223a6636caa01be95c65"),
+    (["closure", "--n", "6", "--lower", "2,2,2", "--upper", "3,1,1,1"], "0d67e2407b7cd6901ecb37527b8647595ef46613106e5b85b9b61b42b0c754c3"),
+    (["ssorbit", "--type", "A", "--rank", "2", "--h", "1,1"], "b05747c4221b1070d8e6b7f7bc3746775454fb3de6ac284a1e2b7d757f030335"),
+    (["minorbit", "--type", "D", "--rank", "4"], "879bafe1767fd6b8a7708e916df4528a06ebcba451e409f2a6b8ac9057adfc15"),
+    (["poincare", "--type", "E", "--rank", "8", "--latex"], "402f6585fa5cca7a7e2a3600fa7f9c01e135aa2550585591e975d7d21e4071f0"),
 ]
 
 
@@ -312,7 +316,7 @@ def _run_cli(capsys, argv):
 
 
 def test_criterion_13_cli_determinism_and_round_trip(capsys, tmp_path):
-    with criterion(13, "20 golden CLI invocations are byte-identical across runs and round-trip"):
+    with criterion(13, "20 golden CLI invocations and poincare --latex match pinned bytes and round-trip"):
         fixtures = {
             "h2": {"n": 2, "entries": [["1", "0"], ["0", "-1"]]},
             "x2": {"n": 2, "entries": [["0", "1"], ["0", "0"]]},
@@ -325,13 +329,14 @@ def test_criterion_13_cli_determinism_and_round_trip(capsys, tmp_path):
             p = tmp_path / f"{name}.json"
             p.write_text(json.dumps(obj))
             paths[name] = str(p)
-        assert len(GOLDEN) == 20
-        for template in GOLDEN:
+        assert len(GOLDEN) == 21
+        for template, digest in GOLDEN:
             argv = [t.format(**paths) for t in template]
             code1, out1 = _run_cli(capsys, argv)
             code2, out2 = _run_cli(capsys, argv)
             assert code1 == code2 == 0, argv
             assert out1.encode() == out2.encode(), argv
+            assert hashlib.sha256(out1.encode()).hexdigest() == digest, argv
         # round trips: emitted matrices are accepted back as inputs
         _, jm_out = _run_cli(capsys, ["jm", "--matrix", paths["e12"]])
         triple = json.loads(jm_out)

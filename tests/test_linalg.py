@@ -308,6 +308,42 @@ def test_poly_divmod_reconstructs():
         assert linalg.poly_deg(rem) < linalg.poly_deg(q) or not rem
 
 
+def test_frac_refuses_floats():
+    assert linalg.frac(3) == linalg.frac("3") == linalg.frac(Fraction(3)) == Fraction(3)
+    assert type(linalg.frac(-2)) is Fraction and linalg.frac("-1/2") == Fraction(-1, 2)
+    for x in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            linalg.frac(x)
+
+
+# int coefficients, among them a divisor longer than the dividend, constant
+# and monomial divisors and the zero polynomial
+POLY_INT_CASES = [
+    ([-1, 0, 1], [1, 1]),
+    ([2, 4], [3]),
+    ([5, 0, 0, 1], [0, 2]),
+    ([1, 2], [0, 0, 3]),
+    ([6, 5, 1], [2, 1]),
+    ([-4, 0, 3, 0, 1], [2, -3, 1]),
+    ([], [2, 4]),
+    ([4, 2], []),
+]
+
+
+@pytest.mark.parametrize("p,q", POLY_INT_CASES)
+def test_poly_routines_give_fractions_on_int_input(p, q):
+    calls = [(linalg.poly_monic, (p,)), (linalg.poly_gcd, (p, q)), (linalg.poly_xgcd, (p, q))]
+    if p:
+        calls.append((linalg.squarefree_part, (p,)))
+    if q:
+        calls += [(linalg.poly_divmod, (p, q)), (linalg.poly_mod, (p, q))]
+    for f, args in calls:
+        got = f(*args)
+        assert got == f(*[F(*a) for a in args]), f.__name__
+        polys = got if isinstance(got, tuple) else (got,)
+        assert all(type(x) is Fraction for poly in polys for x in poly), (f.__name__, got)
+
+
 def test_gcd_and_xgcd():
     rng = random.Random(17)
     for _ in range(40):

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import json
 import random
 
 import pytest
 
 from helpers import ad_nullity, conjugate, rand_partition, rand_unimodular
+from lieorbits.cli import main
 from lieorbits.orbits import (
     OrbitPoset,
     Partition,
@@ -15,8 +17,6 @@ from lieorbits.orbits import (
     minimal_orbit,
     orbit_dim_partition,
     partitions,
-    poset_to_dot,
-    poset_to_json,
     regular_orbit,
     transpose,
 )
@@ -225,13 +225,15 @@ def test_regular_minimal_edges():
         minimal_orbit(1)
 
 
-def test_poset_emission():
+def test_poset_emission(capsys):
     h = hasse_diagram(4)
-    d = poset_to_json(h)
+    assert main(["poset", "--n", "4"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["n"] == 4 and len(d["nodes"]) == 5
     assert d["nodes"][0] == {"parts": [4], "dim": 12}
     assert all(len(c) == 2 for c in d["covers"])
-    dot = poset_to_dot(h)
+    assert main(["poset", "--n", "4", "--dot"]) == 0
+    dot = capsys.readouterr().out
     assert dot.startswith("digraph")
     assert '"4 (dim 12)"' in dot and '"2+1+1 (dim 6)"' in dot
     assert dot.count("->") == len(h.covers)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import longest_word_by_rho, roots_by_reflection_closure, symmetrized_form
 
+from lieorbits.cli import main
 from lieorbits.minorbit import min_orbit_report
 from lieorbits.rootsys import (
     CartanType,
@@ -20,7 +21,6 @@ from lieorbits.rootsys import (
     maximal_root,
     parabolic_data,
     reflect_root,
-    root_system_to_json,
     weight_leq,
 )
 
@@ -76,7 +76,7 @@ def test_roots_by_height_equal_the_reflection_closure(family, rank):
     assert [r.coeffs for r in rs.positive_roots] == positive
 
 
-def test_rank_40_roots_pinned():
+def test_rank_40_roots_pinned(capsys):
     # pinned from the reflection closure, which takes 0.3-0.7 s per type at rank 40
     pinned = {
         "A": "4f544fdb1c5a1da46b3d956272a3d94ee6c231497fcda5451a6fe73ccb377e40",
@@ -85,7 +85,8 @@ def test_rank_40_roots_pinned():
         "D": "0d80fd69159e71f0d3e9787a8fd6b07de29ededace0a0bc535cf7ec739e72992",
     }
     for family, want in pinned.items():
-        d = root_system_to_json(build_root_system(CartanType(family, 40)))
+        assert main(["roots", "--type", family, "--rank", "40"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert hashlib.sha256(json.dumps(d).encode()).hexdigest() == want
 
 
@@ -304,9 +305,9 @@ def test_w0_carries_dual_levi_minus_onto_levi_plus(family, rank):
             assert len(parabolic_data(rs, s).delta_s_plus) == len(parabolic_data(rs, sv).delta_s_plus)
 
 
-def test_json_shape():
-    g2 = build_root_system(CartanType("G", 2))
-    d = root_system_to_json(g2)
+def test_json_shape(capsys):
+    assert main(["roots", "--type", "G", "--rank", "2"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["type"] == "G" and d["rank"] == 2
     assert len(d["roots"]) == 12 and d["cartan"] == [[2, -1], [-3, 2]]
     assert all(isinstance(x, int) for row in d["roots"] for x in row)

@@ -122,6 +122,8 @@ def test_element_validation():
         SlnElement.from_rows([[0, 1], [0, 0], [0, 0]])
     with pytest.raises(ValueError):
         bracket(X, SlnElement.zero(3))
+    with pytest.raises(TypeError):  # 0.1 would enter as 3602879701896397/36028797018963968
+        SlnElement.from_rows([[0.1, 0], [0, -0.1]])
 
 
 def test_bracket_examples():

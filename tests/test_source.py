@@ -14,20 +14,57 @@ def test_no_assert_in_src():
     assert offenders == []
 
 
+def _imported(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
 def test_no_dataclasses_import_in_src():
     # importing dataclasses costs more than the library code a CLI call
     # compiles, so value classes are namedtuple subclasses
     offenders = []
     for path in sorted(Path(lieorbits.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if "dataclasses" in _imported(node)]
+    assert offenders == []
+
+
+def test_no_float_arithmetic_in_src():
+    # the library is exact: a float from float() or math's logs and roots
+    # would carry a rounded value into its results
+    inexact = {"log", "log2", "log10", "sqrt"}
+    offenders = []
+    for path in sorted(Path(lieorbits.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                offenders += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in inexact]
+            if not isinstance(node, ast.Call):
                 continue
-            offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "float" or (
+                isinstance(f, ast.Attribute) and f.attr in inexact and getattr(f.value, "id", None) == "math"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_output_formats_only_in_cli():
+    # rootsys, orbits, topology and the rest compute; the JSON, DOT and LaTeX
+    # that a call prints are written in cli alone
+    offenders = []
+    for path in sorted(Path(lieorbits.__file__).parent.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if "json" in _imported(node):
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name.endswith(("_to_json", "_to_dot", "_latex")):
+                offenders.append(f"{path.name}:{node.lineno}:{node.name}")
     assert offenders == []
 
 

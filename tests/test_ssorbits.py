@@ -52,6 +52,20 @@ def test_fundamental_domain_examples():
     assert in_fundamental_domain(a2, hw)
 
 
+def test_of_takes_exact_parts_only():
+    assert GaussianRational.of("1/2", -1) == GaussianRational(Fraction(1, 2), Fraction(-1))
+    g = GaussianRational.of(1, 0)
+    assert GaussianRational.of(g) is g and GaussianRational.of(g, "0") is g
+    with pytest.raises(ValueError):
+        GaussianRational.of(g, 5)
+    with pytest.raises(TypeError):
+        GaussianRational.of(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational.of(1, 0.5)
+    with pytest.raises(TypeError):
+        TorusElement.of([1, 0.5])
+
+
 def test_pi_of_h():
     a2 = build_root_system(CartanType("A", 2))
     assert pi_of_h(a2, TorusElement.of([0, 0])) == frozenset({1, 2})

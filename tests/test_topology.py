@@ -1,7 +1,9 @@
 import pytest
 
+from lieorbits import topology
+from lieorbits.cli import main
 from lieorbits.rootsys import CartanType, build_root_system
-from lieorbits.topology import exponents, poincare_latex, poincare_polynomial
+from lieorbits.topology import exponents, poincare_polynomial
 
 RANK_LE_8 = (
     [("A", n) for n in range(1, 9)]
@@ -63,6 +65,14 @@ def test_poincare_polynomial(family, rank):
     assert len(poly) - 1 == sum(exponents(rs).dims)
 
 
-def test_latex_output():
-    a2 = build_root_system(CartanType("A", 2))
-    assert poincare_latex(a2) == "(1+t^{3})(1+t^{5})"
+def test_latex_output(capsys, monkeypatch):
+    calls = []
+
+    def counted(rs):
+        calls.append(rs.ctype)
+        return exponents(rs)
+
+    monkeypatch.setattr(topology, "exponents", counted)
+    assert main(["poincare", "--type", "A", "--rank", "2", "--latex"]) == 0
+    assert capsys.readouterr().out == "(1+t^{3})(1+t^{5})\n"
+    assert calls == [CartanType("A", 2)]
