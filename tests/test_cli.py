@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import random
 import re
 import shlex
 from fractions import Fraction
@@ -10,9 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import time_bound
+from helpers import (
+    conjugate,
+    rand_jordan_type,
+    rand_nilpotent,
+    rand_rational_spectrum,
+    rand_traceless,
+    rand_unimodular,
+    time_bound,
+)
 from lieorbits import linalg
 from lieorbits.cli import _parse_torus, main
+from lieorbits.sln import SlnElement
 from lieorbits.ssorbits import GaussianRational
 
 
@@ -497,3 +508,51 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     for argv in calls:
         code, out = run(capsys, argv)
         assert code == 0, (argv, out)
+
+
+def matrix_command_corpus():
+    """200 seeded traceless matrices with n <= 8, then the two 40x40 matrices of the README.
+
+    Conjugate pairs sit side by side; the corpus has zero matrices, nilpotent,
+    semisimple and mixed Jordan types, irrational spectra and entries with
+    denominators 2 and 3.
+    """
+    rng = random.Random(20)
+    out = []
+    for k in range(100):
+        n = 1 + k % 8
+        if k < 8:
+            x = SlnElement.zero(n)
+        else:
+            make = (rand_traceless, rand_nilpotent, rand_rational_spectrum, rand_jordan_type)[k % 4]
+            x = make(rng, n)
+        if k % 5 == 0 and n > 1:
+            x = Fraction(1, 3) * x
+        g, gi = rand_unimodular(rng, n)
+        out += [x.to_matrix(), conjugate(g, gi, x).to_matrix()]
+    n = 40
+    rng = random.Random(1)
+    dense = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    dense[-1][-1] -= sum(dense[i][i] for i in range(n))
+    rng = random.Random(1)
+    upper = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    return out + [dense, upper]
+
+
+def test_matrix_subcommands_output_pinned(capsys, tmp_path):
+    # one digest over the stdout and exit code of every matrix subcommand on
+    # the corpus, recorded before the polynomial kernels became fraction-free;
+    # the 40x40 matrices pair with themselves, and same-orbit leaves out the
+    # dense one (irrational spectrum, 10-15 s of Sturm bisection)
+    corpus = matrix_command_corpus()
+    paths = [write_matrix(tmp_path, f"m{i}.json", len(m), [[str(x) for x in row] for row in m]) for i, m in enumerate(corpus)]
+    others = [paths[i ^ 1] if i % 4 < 2 else paths[(i + 2) % 200] for i in range(200)] + paths[200:]
+    digest = hashlib.sha256()
+    for i, (path, other) in enumerate(zip(paths, others)):
+        for cmd in ("jordan", "phi", "orbit-dim", "same-orbit", "killing", "jm"):
+            if cmd == "same-orbit" and i == len(corpus) - 2:
+                continue
+            argv = [cmd, "--matrix", path] + (["--other", other] if cmd in ("same-orbit", "killing") else [])
+            code, out = run(capsys, argv)
+            digest.update(f"{cmd} {i} {code}\n{out}".encode())
+    assert digest.hexdigest() == "2d46d385ec48370e5c9243dd20735368e83f54d2e78b787c1a6838cffce48469"
