@@ -2,25 +2,27 @@
 
 Matrices are lists of rows of Fraction entries; polynomials are coefficient
 lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
-floats or tolerances.  The matrix kernels run on integer scalings d*a, d the
-lcm of the denominators of a, and build Fractions only for their results:
-mat_mul multiplies the two scalings in ints (mat_vec is mat_mul against one
-column).  One fraction-free Gauss-Jordan elimination, fed one integer row at
-a time, is the only one: rank counts the rows it keeps, rref sorts them by
-pivot and divides by the last pivot (int input gives Fraction output too),
-and nullspace, solve and inverse read their answers off rref.  charpoly is
-Faddeev-LeVerrier on d*a; invariant_factors grows a Krylov basis of d*a from
-a dense start vector, tests each new vector with the same elimination, takes
-the relations from one rref and their Smith form over Q[t].  Every division
-in the polynomial routines is exact, and rational_roots bisects with a Sturm
-chain, in a number of steps bounded by the bit length of the coefficients.
+floats or tolerances.  The kernels run on integer scalings d*a, d the lcm of
+the denominators of a (a polynomial p is the one-row matrix [p]), and build
+Fractions only for their results: mat_mul and poly_mul multiply two
+scalings in ints, poly_divmod is a fraction-free long division, and
+poly_eval_matrix runs Horner on d*a.  One fraction-free Gauss-Jordan
+elimination, fed one integer row at a time, is the only one: rank counts the
+rows it keeps, rref sorts them by pivot and divides by the last pivot (int
+input gives Fraction output too), and nullspace, solve and inverse read
+their answers off rref.  charpoly is Faddeev-LeVerrier on d*a;
+invariant_factors grows a Krylov basis of d*a from a dense start vector,
+tests each new vector with the same elimination, takes the relations from
+one rref and their Smith form over Q[t].  Every division in the polynomial
+routines is exact, and rational_roots bisects with a Sturm chain, in a
+number of steps bounded by the bit length of the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Matrix = list[list[Fraction]]
@@ -75,23 +77,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     da, ai = _integer_scaled(a)
     db, bi = _integer_scaled(b)
     d = da * db
-    c = len(b[0]) if b else 0
     zero = Fraction(0)
+    return [[Fraction(s, d) if s else zero for s in row] for row in _int_mul(ai, bi, len(b[0]) if b else 0)]
+
+
+def _int_mul(a: list[list[int]], b: list[list[int]], c: int) -> list[list[int]]:
+    """The product of two integer matrices, b with c columns; rows of a skip their zero entries."""
     out = []
-    for row in ai:
+    for row in a:
         acc = [0] * c
-        for x, bt in zip(row, bi):
+        for x, bt in zip(row, b):
             if x:
                 acc = [s + x * y for s, y in zip(acc, bt)]
-        out.append([Fraction(s, d) if s else zero for s in acc])
+        out.append(acc)
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a times the column v, as mat_mul of a and a one-column matrix."""
-    if not v:  # [] as a matrix has no rows to carry the one column
-        return [Fraction(0)] * len(a)
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_trace(a: Matrix) -> Fraction:
@@ -103,7 +102,7 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def _integer_scaled(a) -> tuple[int, list[list[int]]]:
-    """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix."""
+    """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix (a polynomial p as [p])."""
     ratios = [[x.as_integer_ratio() for x in row] for row in a]
     d = lcm(*{q for row in ratios for _, q in row})
     if d == 1:
@@ -342,9 +341,10 @@ def _bits(p: Poly) -> int:
 
 
 def poly_trim(p: Poly) -> Poly:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    return p if k == len(p) else p[:k]
 
 
 def poly_deg(p: Poly) -> int:
@@ -362,32 +362,46 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
+    """pq: the convolution of the integer scalings d_p*p and d_q*q, over d_p*d_q."""
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
+    dp, (pi,) = _integer_scaled([p])
+    dq, (qi,) = _integer_scaled([q])
+    out = [0] * (len(pi) + len(qi) - 1)
+    k = len(qi)
+    for i, x in enumerate(pi):
         if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return poly_trim(out)
+            out[i : i + k] = [s + x * y for s, y in zip(out[i : i + k], qi)]
+    return [Fraction(x, dp * dq) for x in poly_trim(out)]
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of p by q, by fraction-free long division.
+
+    On P = d_p*p and Q = d_q*q it keeps s*P = T*Q + R in ints, from s = 1,
+    T = 0, R = P.  A step clears the top t of R with the lead c of Q, after
+    scaling R, T and s by |c|/gcd(c, t) when c does not divide t.  Then the
+    quotient is d_q*T/(s*d_p) and the remainder R/(s*d_p).
+    """
     q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [frac(x) for x in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = frac(q[-1])
-    while len(poly_trim(r)) - 1 >= dq:
-        r = poly_trim(r)
-        shift = len(r) - 1 - dq
-        c = r[-1] / lead
-        quo[shift] = c
-        for i, y in enumerate(q):
-            r[shift + i] -= c * y
-    return poly_trim(quo), poly_trim(r)
+    dp, (r,) = _integer_scaled([poly_trim(p)])
+    dq, (qi,) = _integer_scaled([q])
+    lead, top = qi[-1], len(qi) - 1
+    quo, s = [0] * max(len(r) - top, 0), 1
+    while len(r) > top:
+        t = r[-1]
+        if t % lead:
+            m = abs(lead) // gcd(lead, t)
+            r, quo, s, t = [m * x for x in r], [m * x for x in quo], s * m, t * m
+        shift = len(r) - 1 - top
+        quo[shift] = c = t // lead
+        r[shift:] = [x - c * y for x, y in zip(r[shift:], qi)]  # the top becomes 0
+        while r and not r[-1]:
+            r.pop()
+    den = s * dp
+    return [Fraction(dq * x, den) for x in quo], [Fraction(x, den) for x in r]  # both end in a nonzero entry
 
 
 def poly_mod(p: Poly, q: Poly) -> Poly:
@@ -432,7 +446,9 @@ def poly_deriv(p: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): the same roots, each once."""
+    """p divided by gcd(p, p'): the same roots, each once.  Raises ValueError on the zero polynomial."""
+    if not poly_trim(p):
+        raise ValueError("the zero polynomial has no squarefree part")
     return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
 
 
@@ -445,13 +461,22 @@ def poly_eval(p: Poly, x):
 
 
 def poly_eval_matrix(p: Poly, a: Matrix) -> Matrix:
+    """p(a) by Horner's rule on A = d*a in ints: with P = d_p*p, sum_k P_k d^(m-k) A^k = d_p d^m p(a), m = deg p."""
     n = len(a)
-    out = zeros(n, n)
-    for c in reversed(p):
-        out = mat_mul(out, a)
+    d, ai = _integer_scaled(a)
+    dp, (pi,) = _integer_scaled([p])
+    out = [[0] * n for _ in range(n)]
+    scale = 1  # d^(m-k) at coefficient k
+    for k, c in enumerate(reversed(pi)):
+        if k:
+            out = _int_mul(out, ai, n)
+            scale *= d
+        c *= scale
         for i in range(n):
             out[i][i] += c
-    return out
+    den = dp * scale
+    zero = Fraction(0)
+    return [[Fraction(x, den) if x else zero for x in row] for row in out]
 
 
 def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:

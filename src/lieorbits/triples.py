@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .sln import SlnElement, bracket
+from .sln import SlnElement
 
 if TYPE_CHECKING:
     from .rootsys import RootSystem
@@ -59,14 +59,21 @@ class MatrixTriple(namedtuple("MatrixTriple", "x h y")):
 
 
 def verify_matrix_triple(t: MatrixTriple) -> bool:
-    """Exact check of all three defining bracket relations."""
-    if not (t.x.n == t.h.n == t.y.n):
+    """Exact check of all three defining bracket relations.
+
+    On the integer matrices X, H, Y = D*(x, h, y), D the lcm of all their
+    denominators, the relations read [X,Y] = D*H, [H,X] = 2D*X and [H,Y] = -2D*Y.
+    """
+    n = t.x.n
+    if not (n == t.h.n == t.y.n):
         raise ValueError("triple members must share a dimension")
-    return (
-        bracket(t.x, t.y).entries == t.h.entries
-        and bracket(t.h, t.x).entries == (2 * t.x).entries
-        and bracket(t.h, t.y).entries == (-2 * t.y).entries
-    )
+    d, rows = linalg._integer_scaled(t.x.entries + t.h.entries + t.y.entries)
+    x, h, y = rows[:n], rows[n : 2 * n], rows[2 * n :]
+    for a, b, want, c in ((x, y, h, d), (h, x, x, 2 * d), (h, y, y, -2 * d)):
+        ab, ba = linalg._int_mul(a, b, n), linalg._int_mul(b, a, n)
+        if any(u - v != c * w for r, s, m in zip(ab, ba, want) for u, v, w in zip(r, s, m)):
+            return False
+    return True
 
 
 def kostant_principal(rs: RootSystem) -> AbstractPrincipalTriple:
@@ -144,9 +151,12 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     tops = [candidates[p] for p in pivots]
     if sum([s for _, s in tops]) != n:
         raise RuntimeError("Jordan chain extraction did not exhaust the space")
+    # e^k v for every top v of a chain longer than k, from one product per power, in top order
+    images = [iter([v for v, _ in tops])]
+    images += [iter(zip(*linalg.mat_mul(powers[k], _from_columns([v for v, s in tops if s > k])))) for k in range(1, d)]
     cols, hcols, fcols = [], [], []
     for v, s in tops:
-        chain = [linalg.mat_vec(powers[s - 1 - j], v) for j in range(s)] + [[0] * n]
+        chain = [next(images[s - 1 - j]) for j in range(s)] + [[0] * n]
         for j in range(s):
             cols.append(chain[j])
             hcols.append([(s - 1 - 2 * j) * x for x in chain[j]])

@@ -75,6 +75,65 @@ def plain_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
 
 
+def plain_poly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def plain_poly_mul(p, q):
+    """Schoolbook product of coefficient lists in plain Fraction arithmetic, sharing no code with linalg."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += Fraction(x) * y
+    return plain_poly_trim(out)
+
+
+def plain_poly_divmod(p, q):
+    """(quotient, remainder) by schoolbook long division in plain Fraction arithmetic: the oracle."""
+    q = plain_poly_trim(Fraction(x) for x in q)
+    r = plain_poly_trim(Fraction(x) for x in p)
+    quo = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
+    while len(r) >= len(q):
+        c = r[-1] / q[-1]
+        shift = len(r) - len(q)
+        quo[shift] = c
+        for i, y in enumerate(q):
+            r[shift + i] -= c * y
+        r = plain_poly_trim(r)
+    return plain_poly_trim(quo), r
+
+
+def plain_poly_compose_mod(p, s, m):
+    """p(s) modulo m by Horner on the coefficients of p, with the plain product and division above."""
+    out = []
+    for c in reversed(p):
+        step = plain_poly_mul(out, s) + [Fraction(0)]  # room for the constant term
+        step[0] += c
+        out = plain_poly_divmod(step, m)[1]
+    return out
+
+
+def plain_poly_eval_matrix(p, a):
+    """p(a) by Horner's rule with plain_mul."""
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        out = plain_mul(out, a)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def mat_vec(a, v):
+    """a times the column v, as linalg.mat_mul of a and a one-column matrix."""
+    if not v:  # [] as a matrix has no rows to carry the one column
+        return [Fraction(0)] * len(a)
+    return [row[0] for row in linalg.mat_mul(a, [[x] for x in v])]
+
+
 def naive_nullspace(m):
     """Kernel basis read off naive_rref: one vector per free column, unit there."""
     red, pivots = naive_rref(m)

@@ -11,7 +11,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from helpers import ad_nullity, rand_jordan_type, rand_nilpotent, rand_traceless
+from helpers import ad_nullity, mat_vec, rand_jordan_type, rand_nilpotent, rand_traceless
 from lieorbits import linalg
 from lieorbits.cli import main as cli_main
 from lieorbits.minorbit import min_orbit_report
@@ -275,7 +275,7 @@ def test_criterion_12_kks_rank_and_radical():
                 radical = linalg.nullspace(m)
                 assert len(radical) == centralizer_dim(x)
                 for v in radical:
-                    assert all(c == 0 for c in linalg.mat_vec(ad, v))
+                    assert all(c == 0 for c in mat_vec(ad, v))
                 # antisymmetry of the Gram matrix
                 for a in range(dim):
                     for b in range(a, dim):

@@ -545,7 +545,9 @@ def test_matrix_subcommands_output_pinned(capsys, tmp_path):
     # the 40x40 matrices pair with themselves, and same-orbit leaves out the
     # dense one (irrational spectrum, 10-15 s of Sturm bisection)
     corpus = matrix_command_corpus()
-    paths = [write_matrix(tmp_path, f"m{i}.json", len(m), [[str(x) for x in row] for row in m]) for i, m in enumerate(corpus)]
+    paths = [
+        write_matrix(tmp_path, f"m{i}.json", len(m), [[str(x) for x in row] for row in m]) for i, m in enumerate(corpus)
+    ]
     others = [paths[i ^ 1] if i % 4 < 2 else paths[(i + 2) % 200] for i in range(200)] + paths[200:]
     digest = hashlib.sha256()
     for i, (path, other) in enumerate(zip(paths, others)):

@@ -7,7 +7,17 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_rank, naive_rref, plain_mul
+from helpers import (
+    mat_vec,
+    naive_rank,
+    naive_rref,
+    plain_mul,
+    plain_poly_compose_mod,
+    plain_poly_divmod,
+    plain_poly_eval_matrix,
+    plain_poly_mul,
+    plain_poly_trim,
+)
 from lieorbits import linalg
 
 
@@ -101,7 +111,7 @@ def test_nullspace_vectors_are_killed_and_count_matches():
         basis = linalg.nullspace(m)
         assert len(basis) == nc - linalg.rank(m)
         for v in basis:
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x == 0 for x in mat_vec(m, v))
 
 
 def test_solve_and_inverse():
@@ -115,7 +125,7 @@ def test_solve_and_inverse():
             continue
         b = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         x = linalg.solve(m, b)
-        assert linalg.mat_vec(m, x) == b
+        assert mat_vec(m, x) == b
         assert linalg.mat_mul(m, linalg.inverse(m)) == linalg.identity(n)
 
 
@@ -288,9 +298,9 @@ def test_mat_mul_and_mat_vec_against_sympy(pair):
     assert got == expected
     assert all(type(x) is Fraction for row in got for x in row)
     if not k:
-        assert linalg.mat_vec(a, []) == [Fraction(0)] * r
+        assert mat_vec(a, []) == [Fraction(0)] * r
     for j in range(c):
-        column = linalg.mat_vec(a, [row[j] for row in b])
+        column = mat_vec(a, [row[j] for row in b])
         assert column == [row[j] for row in expected]
         assert all(type(x) is Fraction for x in column)
 
@@ -342,6 +352,49 @@ def test_poly_routines_give_fractions_on_int_input(p, q):
         assert got == f(*[F(*a) for a in args]), f.__name__
         polys = got if isinstance(got, tuple) else (got,)
         assert all(type(x) is Fraction for poly in polys for x in poly), (f.__name__, got)
+
+
+def test_squarefree_part_of_the_zero_polynomial_raises_value_error():
+    for zero in ([], [0], F(0, 0)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            linalg.squarefree_part(zero)
+    assert linalg.poly_gcd([], []) == []
+    assert linalg.poly_xgcd([], []) == ([], [Fraction(1)], [])
+    assert linalg.squarefree_part(F(-4, 0, 1, 0)) == F(-4, 0, 1)  # t^3 - 4t
+
+
+# int and Fraction coefficients, of either sign, degree up to 12; a polynomial
+# may end in zeros, and so be the zero polynomial
+COEFF = st.one_of(st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12))
+POLY = st.lists(COEFF, max_size=13)
+SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(POLY, POLY, POLY, SQUARE)
+@example([], [], [], [[0]])
+@example(F(3, 0, 0, 0, -7, 2), [Fraction(-2, 3), 0, 5], [1, 1], [[1, 2], [3, 4]])  # non-unit lead
+@example([1, 2, 3], [0, 0, -5, 0], [Fraction(1, 2)], [[Fraction(1, 3)]])  # negative lead, trailing zero
+@example([Fraction(1, 7)] * 13, [-3], [0, 1], [[0, 1], [0, 0]])  # constant divisor
+def test_poly_kernels_against_the_plain_fraction_oracle(p, q, s, a):
+    def fractions_only(*polys):
+        return all(type(x) is Fraction for poly in polys for x in poly)
+
+    product = linalg.poly_mul(p, q)
+    assert product == plain_poly_mul(p, q) and fractions_only(product)
+    value = linalg.poly_eval_matrix(p, a)
+    assert value == plain_poly_eval_matrix(p, a) and fractions_only(*value)
+    if not plain_poly_trim(q):
+        with pytest.raises(ZeroDivisionError):
+            linalg.poly_divmod(p, q)
+        return
+    quo, rem = linalg.poly_divmod(p, q)
+    assert (quo, rem) == plain_poly_divmod(p, q) and fractions_only(quo, rem)
+    back = plain_poly_mul(quo, q) + [Fraction(0)] * len(p)
+    assert plain_poly_trim([x + (rem[i] if i < len(rem) else 0) for i, x in enumerate(back)]) == plain_poly_trim(p)
+    assert len(rem) < len(plain_poly_trim(q))
+    composed = linalg.poly_compose_mod(p, s, q)
+    assert composed == plain_poly_compose_mod(p, s, q) and fractions_only(composed)
 
 
 def test_gcd_and_xgcd():

@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from helpers import (
     ad_nullity,
     conjugate,
+    mat_vec,
     naive_rank,
     plain_mul,
     rand_jordan_type,
@@ -273,6 +274,22 @@ def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
     assert expected.semisimple_part == cyclic and expected.nilpotent_part.is_zero()
     with pytest.raises(AssertionError, match="poly_xgcd called"):
         jordan_chevalley(X)  # charpoly t^2: the Newton round needs the inverse of q'
+
+
+def test_jordan_chevalley_of_a_dense_40x40_is_bounded():
+    # the random 40x40 of the README (entries -3..3, seed 1): the squarefree
+    # part and the Newton round divide degree-40 polynomials, whose integer
+    # coefficients a careless fraction-free division would let grow
+    n = 40
+    rng = random.Random(1)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    x = SlnElement.from_rows(rows)
+    with time_bound(10.0, "jordan_chevalley at n = 40"):
+        jp = jordan_chevalley(x)
+    xs, xn = jp.semisimple_part.to_matrix(), jp.nilpotent_part.to_matrix()
+    assert [[u + v for u, v in zip(r, s)] for r, s in zip(xs, xn)] == x.to_matrix()
+    assert plain_mul(xs, xn) == plain_mul(xn, xs)
 
 
 def check_jordan_properties(x):
@@ -607,7 +624,7 @@ def test_kks_matrix_rank_and_radical():
         ad = ad_matrix(x)
         assert linalg.rank(m) == orbit_dim(x)
         for v in linalg.nullspace(m):
-            assert all(c == 0 for c in linalg.mat_vec(ad, v))
+            assert all(c == 0 for c in mat_vec(ad, v))
         assert len(linalg.nullspace(m)) == centralizer_dim(x)
 
 

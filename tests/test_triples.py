@@ -42,6 +42,28 @@ def test_verify_matrix_triple():
         verify_matrix_triple(MatrixTriple(X, H, SlnElement.zero(3)))
 
 
+def test_verify_matrix_triple_catches_every_one_entry_change():
+    # +1 at an off-diagonal entry of h breaks [x,y] = h.  A change E to x
+    # survives only if [E,y] = 0 and [h,E] = 2E, but the centralizer of y has
+    # ad h-weights <= 0 only; a change to y would need weight -2 in the
+    # centralizer of x, whose weights are >= 0.  So every such change fails.
+    rng = random.Random(29)
+    samples = [SlnElement.zero(2)] + [rand_nilpotent(rng, n) for n in range(2, 7) for _ in range(3)]
+    for e in samples:
+        t = jacobson_morozov_sln(e)
+        assert verify_matrix_triple(t)
+        n = e.n
+        for which in range(3):
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        rows = [list(row) for row in t[which].entries]
+                        rows[i][j] += 1
+                        changed = list(t)
+                        changed[which] = SlnElement.from_rows(rows)
+                        assert not verify_matrix_triple(MatrixTriple(*changed)), (e, which, i, j)
+
+
 @pytest.mark.parametrize("family,rank", PRINCIPAL_TYPES)
 def test_kostant_principal_every_type(family, rank):
     rs = build_root_system(CartanType(family, rank))
