@@ -5,12 +5,15 @@ lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances.  The kernels run on integer scalings d*a, d the lcm of
 the denominators of a (a polynomial p is the one-row matrix [p]), and build
 Fractions only for their results: mat_mul and poly_mul multiply two
-scalings in ints, poly_divmod is a fraction-free long division, and
-poly_eval_matrix runs Horner on d*a.  One fraction-free Gauss-Jordan
-elimination, fed one integer row at a time, is the only one: rank counts the
-rows it keeps, rref sorts them by pivot and divides by the last pivot (int
-input gives Fraction output too), and nullspace, solve and inverse read
-their answers off rref.  charpoly is Faddeev-LeVerrier on d*a;
+scalings in ints, and poly_eval_matrix runs Horner on d*a.  One fraction-free
+long division, _int_divmod, serves poly_divmod, poly_compose_mod and the gcd
+and Sturm remainder sequences, which divide each remainder by its content
+(primitive remainder sequences), so their coefficients stay near the size of
+the result's.  One fraction-free Gauss-Jordan elimination, fed one integer
+row at a time, is the only one: rank counts the rows it keeps, rref sorts
+them by pivot and divides by the last pivot (int input gives Fraction output
+too), and nullspace, solve and inverse read their answers off rref.
+charpoly solves Newton's identities on the traces of the powers of d*a;
 invariant_factors grows a Krylov basis of d*a from a dense start vector,
 tests each new vector with the same elimination, takes the relations from
 one rref and their Smith form over Q[t].  Every division in the polynomial
@@ -170,7 +173,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def nullspace(m: Matrix) -> list[Vector]:
-    """Deterministic kernel basis: one vector per free column, unit there.
+    """Deterministic kernel basis, Fraction vectors for a Fraction or int m: one per free column, unit there.
 
     Raises ValueError on a matrix with no rows, which carries no column count.
     """
@@ -210,25 +213,24 @@ def inverse(a: Matrix) -> Matrix:
 def charpoly(a: Matrix) -> Poly:
     """Coefficients of det(lambda*I - a), lowest degree first, monic.
 
-    Faddeev-LeVerrier on the integer matrix A = d*a, d the lcm of the
-    denominators of a: M_k = A M_(k-1) + c_(k-1) I and c_k = -tr(A M_k)/k,
-    where every division is exact.  Coefficient k of A's polynomial is
-    d^k times that of a.
+    Newton's identities on the integer matrix A = d*a, d the lcm of the
+    denominators of a: with p_k = tr(A^k), k*c_k = -(p_k + sum_(0<m<k) c_m
+    p_(k-m)), and every division is exact.  Only A, ..., A^h, h = ceil(n/2),
+    are formed: p_k = tr(A^i A^j) (i + j = k) sums A^i times the transpose of
+    A^j entrywise.  Coefficient k of A's polynomial is d^k times that of a.
     """
     n = len(a)
     d, ai = _integer_scaled(a)
-    coeffs = [1]  # built high degree first
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], ai]  # A^0, ..., A^h
+    while 2 * len(powers) < n + 2:
+        powers.append(_int_mul(powers[-1], ai, n))
+    coeffs, sums = [1], []  # c_0, c_1, ... and p_1, p_2, ...
     for k in range(1, n + 1):
-        if k > 1:
-            cols = list(zip(*m))
-            m = [[sum(map(mul, row, col)) for col in cols] for row in ai]
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-        t = sum(sum(map(mul, row, col)) for row, col in zip(ai, zip(*m)))
-        c, rem = divmod(-t, k)
+        i = min(k, len(powers) - 1)
+        sums.append(sum(sum(map(mul, row, col)) for row, col in zip(powers[i], zip(*powers[k - i]))))
+        c, rem = divmod(-sum(map(mul, coeffs, reversed(sums))), k)
         if rem:
-            raise RuntimeError(f"Faddeev-LeVerrier step {k} left remainder {rem} on an integer matrix")
+            raise RuntimeError(f"Newton's identity {k} left remainder {rem} on an integer matrix")
         coeffs.append(c)
     return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
 
@@ -367,29 +369,38 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         return []
     dp, (pi,) = _integer_scaled([p])
     dq, (qi,) = _integer_scaled([q])
-    out = [0] * (len(pi) + len(qi) - 1)
-    k = len(qi)
-    for i, x in enumerate(pi):
+    return [Fraction(x, dp * dq) for x in poly_trim(_int_poly_mul(pi, qi))]
+
+
+def _int_poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """The convolution of two nonzero integer coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    k = len(q)
+    for i, x in enumerate(p):
         if x:
-            out[i : i + k] = [s + x * y for s, y in zip(out[i : i + k], qi)]
-    return [Fraction(x, dp * dq) for x in poly_trim(out)]
+            out[i : i + k] = [s + x * y for s, y in zip(out[i : i + k], q)]
+    return out
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """(quotient, remainder) of p by q, by fraction-free long division.
+    """(quotient, remainder) of p by q: d_q*T/(s*d_p) and R/(s*d_p) for s*P = T*Q + R on P = d_p*p, Q = d_q*q."""
+    dp, (pi,) = _integer_scaled([poly_trim(p)])
+    dq, (qi,) = _integer_scaled([poly_trim(q)])
+    s, quo, r = _int_divmod(pi, qi)
+    den = s * dp
+    return [Fraction(dq * x, den) for x in quo], [Fraction(x, den) for x in r]  # both end in a nonzero entry
 
-    On P = d_p*p and Q = d_q*q it keeps s*P = T*Q + R in ints, from s = 1,
-    T = 0, R = P.  A step clears the top t of R with the lead c of Q, after
-    scaling R, T and s by |c|/gcd(c, t) when c does not divide t.  Then the
-    quotient is d_q*T/(s*d_p) and the remainder R/(s*d_p).
+
+def _int_divmod(p: list[int], q: list[int]) -> tuple[int, list[int], list[int]]:
+    """(s, T, R) with s*P = T*Q + R, s > 0 and deg R < deg Q, for trimmed integer lists P and Q != 0.
+
+    From s = 1, T = 0, R = P, a step clears the top t of R with the lead c
+    of Q, after scaling R, T and s by |c|/gcd(c, t) when c does not divide t.
     """
-    q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    dp, (r,) = _integer_scaled([poly_trim(p)])
-    dq, (qi,) = _integer_scaled([q])
-    lead, top = qi[-1], len(qi) - 1
-    quo, s = [0] * max(len(r) - top, 0), 1
+    lead, top = q[-1], len(q) - 1
+    r, quo, s = list(p), [0] * max(len(p) - top, 0), 1
     while len(r) > top:
         t = r[-1]
         if t % lead:
@@ -397,11 +408,10 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
             r, quo, s, t = [m * x for x in r], [m * x for x in quo], s * m, t * m
         shift = len(r) - 1 - top
         quo[shift] = c = t // lead
-        r[shift:] = [x - c * y for x, y in zip(r[shift:], qi)]  # the top becomes 0
+        r[shift:] = [x - c * y for x, y in zip(r[shift:], q)]  # the top becomes 0
         while r and not r[-1]:
             r.pop()
-    den = s * dp
-    return [Fraction(dq * x, den) for x in quo], [Fraction(x, den) for x in r]  # both end in a nonzero entry
+    return s, quo, r
 
 
 def poly_mod(p: Poly, q: Poly) -> Poly:
@@ -417,10 +427,22 @@ def poly_monic(p: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = poly_trim(p), poly_trim(q)
+    """The monic gcd ([] for two zeros), by a primitive remainder sequence on the integer scalings.
+
+    Each pseudo-remainder is divided by its content (Collins, J. ACM 14,
+    1967), where Euclid over Q lets the coefficients grow; only the last one
+    is made monic.
+    """
+    _, (a, b) = _integer_scaled([poly_trim(p), poly_trim(q)])
     while b:
-        a, b = b, poly_mod(a, b)
+        a, b = b, _primitive(_int_divmod(a, b)[2])
     return poly_monic(a)
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """An integer coefficient list divided by its content, the positive gcd of its entries."""
+    g = gcd(*p)
+    return [x // g for x in p]
 
 
 def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -480,11 +502,23 @@ def poly_eval_matrix(p: Poly, a: Matrix) -> Matrix:
 
 
 def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:
-    """p(s) reduced modulo m, via Horner on the coefficients of p."""
-    out: Poly = []
-    for c in reversed(p):
-        out = poly_mod(poly_add(poly_mul(out, s), [c]), m)
-    return out
+    """p(s) reduced modulo m, by Horner on P = d_p*p and S = d_s*s with the value kept as (ints R, denominator e).
+
+    A step reduces R*S + c*e*d_s, over e*d_s, modulo the scaling of m, and
+    cancels the gcd of the denominator and the remainder; the result is R/(e*d_p).
+    """
+    dp, (pi,) = _integer_scaled([p])
+    ds, (si,) = _integer_scaled([poly_trim(s)])
+    mi = _integer_scaled([poly_trim(m)])[1][0]
+    out, e = [], 1
+    for c in reversed(pi):
+        step = _int_poly_mul(out, si) if out and si else [0]
+        step[0] += c * e * ds
+        t, _, r = _int_divmod(poly_trim(step), mi)
+        e *= ds * t
+        g = gcd(e, *r)
+        out, e = [x // g for x in r], e // g
+    return [Fraction(x, e * dp) for x in out]
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
@@ -524,11 +558,11 @@ def _unit_intervals_with_roots(p: Poly) -> list[int]:
     variations from a to b counts the distinct roots in (a, b].  Halving from
     the Cauchy bound 1 + max |coefficient| takes O(coefficient bits) steps per root.
     """
-    chain = [squarefree_part(p)]
+    chain = _integer_scaled([squarefree_part(p)])[1]
     chain.append(poly_deriv(chain[0]))
-    while chain[-1]:
-        chain.append([-c for c in poly_mod(chain[-2], chain[-1])])
-    chain = _integer_scaled(chain[:-1])[1]  # a positive scaling keeps every sign
+    while chain[-1]:  # -prim(R) is a positive multiple of -(chain[-2] mod chain[-1]), so every sign stays
+        chain.append([-x for x in _primitive(_int_divmod(chain[-2], chain[-1])[2])])
+    chain.pop()
 
     def variations(y: int) -> int:
         signs = [v > 0 for v in [poly_eval(f, y) for f in chain] if v]

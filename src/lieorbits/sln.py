@@ -181,10 +181,10 @@ def is_nilpotent(x: SlnElement) -> bool:
 
 
 def is_semisimple(x: SlnElement) -> bool:
-    """Diagonalizable iff the squarefree part of the characteristic polynomial kills x."""
+    """Diagonalizable iff the squarefree part q of the charpoly p kills x (q = p does, by Cayley-Hamilton)."""
     p = linalg.charpoly(x.to_matrix())
     q = linalg.squarefree_part(p)
-    return linalg.mat_is_zero(linalg.poly_eval_matrix(q, x.to_matrix()))
+    return len(q) == len(p) or linalg.mat_is_zero(linalg.poly_eval_matrix(q, x.to_matrix()))
 
 
 def jordan_chevalley(x: SlnElement) -> JordanPair:
@@ -270,15 +270,17 @@ def _rank_sequence(x: SlnElement, lam: Fraction, mult: int):
 
     With rank n - mult for every power k >= mult, these ranks fix the sizes
     of the Jordan blocks of x at an eigenvalue lam of multiplicity mult: the
-    number of blocks of size at least k is rank^(k-1) - rank^k.
+    number of blocks of size at least k is rank^(k-1) - rank^k.  The powers
+    are those of the integer matrix D*(x - lam I), which have the same ranks.
     """
     a = x.to_matrix()
     for i in range(x.n):
         a[i][i] -= lam
+    _, a = linalg._integer_scaled(a)
     power = a
     for k in range(1, mult):
         if k > 1:
-            power = linalg.mat_mul(power, a)
+            power = linalg._int_mul(power, a, x.n)
         yield linalg.rank(power)
 
 

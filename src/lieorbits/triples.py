@@ -18,8 +18,8 @@ nonpositive combination of the simple roots (Kostant, Amer. J. Math. 81,
 
 Jacobson-Morozov takes its chain tops from one elimination of their
 bottoms: a candidate top of a chain of length k is a basis vector v of
-ker e^k, its bottom is e^(k-1) v, and the tops are the candidates at the
-rref pivot columns of all bottoms, stages k = d, ..., 1 in order.  Since
+ker e^k, its bottom is e^(k-1) v, and the tops are the candidates whose
+bottoms one elimination keeps, stages k = d, ..., 1 in order.  Since
 e^(k-1) maps ker e^k onto ker e ∩ im e^(k-1) with kernel ker e^(k-1), and the
 height-k layer of the longer chains to their bottoms, v is independent of
 ker e^(k-1), that layer and the earlier tops of its stage exactly when its
@@ -30,7 +30,6 @@ because their bottoms are.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -114,53 +113,54 @@ def _from_columns(vectors) -> linalg.Matrix:
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     """Complete a nilpotent traceless matrix to an sl2-triple.
 
-    The powers of e decide nilpotency (ValueError if e^n is not zero) and give
-    a Jordan chain basis.  For k = d, ..., 1 (d the nilpotency index) the
-    nullspace basis of e^k gives the candidate tops of length k, and one
-    product with e^(k-1) their bottoms.  The tops are the candidates at the
-    pivot columns of one rref of all bottoms: those whose bottom is
-    independent of every bottom before it (a deterministic choice).  That is
-    the stage-by-stage kernel-filtration rule: e^(k-1) kills ker e^(k-1) and
-    sends the height-k layer of the longer chains and the earlier tops of the
-    stage to their bottoms, and a bottom that is no pivot lies in the span of
-    the pivots before it.
+    The chains are built in ints from the powers of E = d*e (d the lcm of
+    the denominators of e), which decide nilpotency (ValueError if e^n is not
+    zero).  For k = m, ..., 1 (m the nilpotency index) the integer-scaled
+    nullspace basis of E^k gives the candidate tops of length k, and one
+    product with E^(k-1) their bottoms.  The tops are the candidates whose
+    bottom is independent of every bottom before it, in one elimination of
+    all bottoms (a deterministic choice).  That is the stage-by-stage
+    kernel-filtration rule: e^(k-1) kills ker e^(k-1) and sends the height-k
+    layer of the longer chains and the earlier tops of the stage to their
+    bottoms, and a bottom that is no pivot lies in the span of those before it.
 
-    With g the chain basis, bottom first, h scales column j of a chain of
-    length s by s-1-2j and f sends it to (j+1)(s-1-j) times column j+1.  The
-    bracket check also proves e = g J g^-1 (J the standard nilpotent): both
+    With g the chain basis, bottom first, column j of a chain of length s is
+    E^(s-1-j) v = d^(s-1-j) e^(s-1-j) v.  h scales it by s-1-2j, and f sends it
+    to d(j+1)(s-1-j) times column j+1, where the factor d undoes the scaling;
+    scaling a whole chain changes neither.  The bracket check also proves
+    e = g J g^-1 (J the standard nilpotent, g the chains e^(s-1-j) v): both
     satisfy [h, x] = 2x and [x, f] = h, so their difference has ad h-weight 2
     and is killed by ad f, which is injective on the positive ad h-weights.
     """
     if e.is_zero():  # the general path gives h = y = 0 too, through eliminations, products and the bracket check
         return MatrixTriple(x=e, h=e, y=e)
     n = e.n
-    a = e.to_matrix()
-    powers = [linalg.identity(n), a]
+    d, a = linalg._integer_scaled(e.entries)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], a]  # E^k for E = d*e
     while not linalg.mat_is_zero(powers[-1]):
         if len(powers) > n:  # e^n is not zero
             raise ValueError("input must be nilpotent")
-        powers.append(linalg.mat_mul(powers[-1], a))
-    d = len(powers) - 1  # nilpotency index
-    candidates: list[tuple[list[Fraction], int]] = []  # (top vector, chain length)
-    bottoms = []
-    for k in range(d, 0, -1):
-        basis = linalg.nullspace(powers[k])
-        candidates += [(v, k) for v in basis]
-        bottoms += zip(*linalg.mat_mul(powers[k - 1], _from_columns(basis)))
-    _, pivots = linalg.rref(_from_columns(bottoms))
-    tops = [candidates[p] for p in pivots]
+        powers.append(linalg._int_mul(powers[-1], a, n))
+    depth = len(powers) - 1  # nilpotency index
+    transposed = [list(zip(*m)) for m in powers[:-1]]  # row v times the transpose of E^k is E^k v
+    span = linalg._Echelon()
+    tops: list[tuple[list[int], int]] = []  # (integer top vector, chain length)
+    for k in range(depth, 0, -1):
+        basis = linalg._integer_scaled(linalg.nullspace(powers[k]))[1]  # scaling a chain changes neither h nor f
+        bottoms = linalg._int_mul(basis, transposed[k - 1], n)
+        tops += [(v, k) for v, b in zip(basis, bottoms) if span.insert(b)]
     if sum([s for _, s in tops]) != n:
         raise RuntimeError("Jordan chain extraction did not exhaust the space")
-    # e^k v for every top v of a chain longer than k, from one product per power, in top order
+    # E^k v for every top v of a chain longer than k, from one product per power, in top order
     images = [iter([v for v, _ in tops])]
-    images += [iter(zip(*linalg.mat_mul(powers[k], _from_columns([v for v, s in tops if s > k])))) for k in range(1, d)]
+    images += [iter(linalg._int_mul([v for v, s in tops if s > k], transposed[k], n)) for k in range(1, depth)]
     cols, hcols, fcols = [], [], []
     for v, s in tops:
         chain = [next(images[s - 1 - j]) for j in range(s)] + [[0] * n]
         for j in range(s):
             cols.append(chain[j])
             hcols.append([(s - 1 - 2 * j) * x for x in chain[j]])
-            fcols.append([(j + 1) * (s - 1 - j) * x for x in chain[j + 1]])
+            fcols.append([d * (j + 1) * (s - 1 - j) * x for x in chain[j + 1]])
     ginv = linalg.inverse(_from_columns(cols))
     h = SlnElement.from_rows(linalg.mat_mul(_from_columns(hcols), ginv))
     f = SlnElement.from_rows(linalg.mat_mul(_from_columns(fcols), ginv))

@@ -106,6 +106,14 @@ def plain_poly_divmod(p, q):
     return plain_poly_trim(quo), r
 
 
+def plain_poly_gcd(p, q):
+    """The monic gcd ([] for two zeros) by Euclid over Q with plain_poly_divmod: the oracle."""
+    a, b = plain_poly_trim(Fraction(x) for x in p), plain_poly_trim(Fraction(x) for x in q)
+    while b:
+        a, b = b, plain_poly_divmod(a, b)[1]
+    return [x / a[-1] for x in a]
+
+
 def plain_poly_compose_mod(p, s, m):
     """p(s) modulo m by Horner on the coefficients of p, with the plain product and division above."""
     out = []

@@ -96,7 +96,7 @@ def test_parabolic_subset_repeated_index(capsys):
 
 def test_self_check_failure_exits_3(capsys, monkeypatch, h2):
     def broken_charpoly(a):
-        raise RuntimeError("Faddeev-LeVerrier step 2 left remainder 1 on an integer matrix")
+        raise RuntimeError("Newton's identity 2 left remainder 1 on an integer matrix")
 
     monkeypatch.setattr(linalg, "charpoly", broken_charpoly)
     code, out = run(capsys, ["phi", "--matrix", h2])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from helpers import (
     plain_poly_compose_mod,
     plain_poly_divmod,
     plain_poly_eval_matrix,
+    plain_poly_gcd,
     plain_poly_mul,
     plain_poly_trim,
 )
@@ -202,6 +204,16 @@ def test_charpoly_against_sympy_and_minors(m):
     assert p == charpoly_by_sympy(m) == charpoly_by_minors(m)
 
 
+def test_charpoly_beyond_five_against_sympy():
+    # Newton's identities form only A, ..., A^h with h = ceil(n/2): both
+    # parities of n, with integer entries and with denominators 2 and 3
+    rng = random.Random(29)
+    for n in range(6, 11):
+        for dens in ((1,), (1, 2, 3)):
+            m = [[Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(n)] for _ in range(n)]
+            assert linalg.charpoly(m) == charpoly_by_sympy(m)
+
+
 def systems():
     # (m, b): an r-by-c matrix, square about half the time, and a right-hand
     # side with r entries; Fraction entries, or plain ints part of the time
@@ -376,12 +388,23 @@ SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(COEFF, min_size=n
 @example(F(3, 0, 0, 0, -7, 2), [Fraction(-2, 3), 0, 5], [1, 1], [[1, 2], [3, 4]])  # non-unit lead
 @example([1, 2, 3], [0, 0, -5, 0], [Fraction(1, 2)], [[Fraction(1, 3)]])  # negative lead, trailing zero
 @example([Fraction(1, 7)] * 13, [-3], [0, 1], [[0, 1], [0, 0]])  # constant divisor
+@example([0, 0], [6, -4, 2], [], [[1]])  # zero first argument
+@example(F(-3, 1, 3, -1), [], [1], [[1]])  # zero second argument, negative lead
+@example([5], F(-1, 0, 1), [1], [[1]])  # constant argument
+@example(F(3, -7, 3, 3, -2), F(-3, 1, 2), [2], [[2]])  # -(t - 1)^3 (2t + 3) against (t - 1)(2t + 3)
+@example([Fraction(-2, 3), Fraction(4, 9), Fraction(-6, 5)], [Fraction(-5, 3), Fraction(7, 2)], [1], [[0]])  # non-unit leads
 def test_poly_kernels_against_the_plain_fraction_oracle(p, q, s, a):
     def fractions_only(*polys):
         return all(type(x) is Fraction for poly in polys for x in poly)
 
     product = linalg.poly_mul(p, q)
     assert product == plain_poly_mul(p, q) and fractions_only(product)
+    common = linalg.poly_gcd(p, q)
+    assert common == plain_poly_gcd(p, q) and fractions_only(common)
+    if plain_poly_trim(p):
+        derivative = [i * Fraction(c) for i, c in enumerate(p)][1:]
+        squarefree = linalg.squarefree_part(p)
+        assert squarefree == plain_poly_divmod(p, plain_poly_gcd(p, derivative))[0] and fractions_only(squarefree)
     value = linalg.poly_eval_matrix(p, a)
     assert value == plain_poly_eval_matrix(p, a) and fractions_only(*value)
     if not plain_poly_trim(q):
@@ -395,6 +418,22 @@ def test_poly_kernels_against_the_plain_fraction_oracle(p, q, s, a):
     assert len(rem) < len(plain_poly_trim(q))
     composed = linalg.poly_compose_mod(p, s, q)
     assert composed == plain_poly_compose_mod(p, s, q) and fractions_only(composed)
+
+
+def test_poly_gcd_divides_every_remainder_by_its_content(monkeypatch):
+    # plain pseudo-remainders give the same gcd with coefficients that grow
+    # with every step; each divisor after the first must be primitive
+    divisors = []
+    int_divmod = linalg._int_divmod
+
+    def recording(p, q):
+        divisors.append(q)
+        return int_divmod(p, q)
+
+    monkeypatch.setattr(linalg, "_int_divmod", recording)
+    p = plain_poly_mul(plain_poly_mul(F(-1, 3, -3, 1), F(3, 2)), F(-5, 3, 0, 0, 1))  # (t - 1)^3 (2t + 3)(t^4 + 3t - 5)
+    assert linalg.poly_gcd(p, linalg.poly_deriv(p)) == F(1, -2, 1)
+    assert len(divisors) > 3 and all(math.gcd(*q) == 1 for q in divisors[1:])
 
 
 def test_gcd_and_xgcd():

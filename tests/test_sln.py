@@ -251,6 +251,18 @@ def test_nilpotent_semisimple_tests():
                 assert is_nilpotent(m) == (a * a + b * c == 0)
 
 
+def test_is_semisimple_skips_the_evaluation_when_squarefree(monkeypatch):
+    cyclic = SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # charpoly t^3 - 1, squarefree
+
+    def refuse(*args):
+        raise AssertionError("poly_eval_matrix called")
+
+    monkeypatch.setattr(linalg, "poly_eval_matrix", refuse)
+    assert is_semisimple(cyclic)
+    with pytest.raises(AssertionError, match="poly_eval_matrix called"):
+        is_semisimple(X)  # charpoly t^2: whether t kills x decides
+
+
 def test_jordan_chevalley_examples():
     jp = jordan_chevalley(X)
     assert jp.semisimple_part.is_zero() and jp.nilpotent_part.entries == X.entries
@@ -276,20 +288,37 @@ def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
         jordan_chevalley(X)  # charpoly t^2: the Newton round needs the inverse of q'
 
 
-def test_jordan_chevalley_of_a_dense_40x40_is_bounded():
-    # the random 40x40 of the README (entries -3..3, seed 1): the squarefree
-    # part and the Newton round divide degree-40 polynomials, whose integer
-    # coefficients a careless fraction-free division would let grow
+def readme_dense_40x40() -> SlnElement:
+    """The random traceless 40x40 of the README: entries -3..3, seed 1."""
     n = 40
     rng = random.Random(1)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
     rows[-1][-1] -= sum(rows[i][i] for i in range(n))
-    x = SlnElement.from_rows(rows)
+    return SlnElement.from_rows(rows)
+
+
+def test_jordan_chevalley_of_a_dense_40x40_is_bounded():
+    # the squarefree part and the Newton round divide degree-40 polynomials,
+    # whose integer coefficients a careless fraction-free division would let grow
+    x = readme_dense_40x40()
     with time_bound(10.0, "jordan_chevalley at n = 40"):
         jp = jordan_chevalley(x)
     xs, xn = jp.semisimple_part.to_matrix(), jp.nilpotent_part.to_matrix()
     assert [[u + v for u, v in zip(r, s)] for r, s in zip(xs, xn)] == x.to_matrix()
     assert plain_mul(xs, xn) == plain_mul(xn, xs)
+
+
+def test_polynomial_calls_on_the_dense_40x40_are_bounded():
+    # charpoly, the gcd with p' and the Sturm chain of a degree-40 polynomial
+    # whose roots are irrational
+    x = readme_dense_40x40()
+    with time_bound(2.0, "is_semisimple at n = 40"):
+        assert is_semisimple(x)  # its characteristic polynomial is squarefree
+    with time_bound(2.0, "jordan_chevalley at n = 40"):
+        jp = jordan_chevalley(x)
+    assert jp.semisimple_part == x and jp.nilpotent_part.is_zero()
+    with time_bound(3.0, "same_orbit at n = 40"), pytest.raises(IrrationalSpectrumError):
+        same_orbit(x, x)
 
 
 def check_jordan_properties(x):

@@ -236,11 +236,12 @@ def test_jacobson_morozov_chain_basis_pinned():
 
 
 def test_jacobson_morozov_equals_the_per_stage_oracle():
-    # one rref of all chain bottoms picks the tops that one elimination per
+    # one elimination of all chain bottoms picks the tops that one elimination per
     # chain length over the kernel filtration picks, so h and y agree exactly
     rng = random.Random(101)
     samples = [SlnElement.zero(n) for n in range(1, 5)] + repeated_top_nilpotents()
     samples += [rand_nilpotent(rng, n) for n in range(1, 9) for _ in range(4)]
+    samples += [Fraction(c, 6) * rand_nilpotent(rng, n) for n in range(2, 8) for c in (1, -5)]  # E = d*e, d > 1
     for e in samples:
         t = jacobson_morozov_sln(e)
         assert t.x == e
