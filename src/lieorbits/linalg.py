@@ -2,29 +2,29 @@
 
 Matrices are lists of rows of Fraction entries; polynomials are coefficient
 lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
-floats or tolerances.  The kernels run on integer scalings d*a, d the lcm of
-the denominators of a (a polynomial p is the one-row matrix [p]), and build
-Fractions only for their results: mat_mul and poly_mul multiply two
-scalings in ints, and poly_eval_matrix runs Horner on d*a.  One fraction-free
-long division, _int_divmod, serves poly_divmod, poly_compose_mod and the gcd
-and Sturm remainder sequences, which divide each remainder by its content
-(primitive remainder sequences), so their coefficients stay near the size of
-the result's.  One fraction-free Gauss-Jordan elimination, fed one integer
-row at a time, is the only one: rank counts the rows it keeps, rref sorts
-them by pivot and divides by the last pivot (int input gives Fraction output
-too), and nullspace, solve and inverse read their answers off rref.
-charpoly solves Newton's identities on the traces of the powers of d*a;
+floats or tolerances, and a float entry raises TypeError.  The kernels run on
+integer scalings d*a, d the lcm of the denominators of a (a polynomial p is
+the one-row matrix [p]), and build Fractions only for their results: mat_mul
+and poly_mul multiply two scalings in ints, and poly_eval_matrix runs Horner
+on d*a.  One fraction-free long division, _int_divmod, serves poly_divmod,
+poly_compose_mod and the gcd and Sturm remainder sequences, which divide each
+remainder by its content (primitive remainder sequences), so their
+coefficients stay near the size of the result's.  One fraction-free
+Gauss-Jordan elimination, fed one integer row at a time, is the only one:
+rank counts the rows it keeps, nullspace is the Fraction view of its integer
+kernel, and solve and inverse divide its rows, sorted by pivot, by the last
+pivot.  charpoly solves Newton's identities on the traces of the powers of d*a;
 invariant_factors grows a Krylov basis of d*a from a dense start vector,
-tests each new vector with the same elimination, takes the relations from
-one rref and their Smith form over Q[t].  Every division in the polynomial
-routines is exact, and rational_roots bisects with a Sturm chain, in a
-number of steps bounded by the bit length of the coefficients.
+tests each new vector with the same elimination, and takes the relations
+from one nullspace and their Smith form over Q[t].  Every division in the
+polynomial routines is exact, and rational_roots bisects with a Sturm chain,
+in a number of steps bounded by the bit length of the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import mul
 
@@ -106,6 +106,11 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def _integer_scaled(a) -> tuple[int, list[list[int]]]:
     """(d, d*a) for d the lcm of the denominators of a, so that d*a is an integer matrix (a polynomial p as [p])."""
+    types = set(map(type, chain.from_iterable(a)))  # one scan: an int matrix passes through, a float is refused
+    if types <= {int}:
+        return 1, [list(row) for row in a]
+    if not types <= {int, Fraction}:  # as_integer_ratio would read a float's binary value
+        frac(next((x for x in chain.from_iterable(a) if isinstance(x, float)), 0))  # frac raises on a float
     ratios = [[x.as_integer_ratio() for x in row] for row in a]
     d = lcm(*{q for row in ratios for _, q in row})
     if d == 1:
@@ -119,10 +124,12 @@ class _Echelon:
     The kept rows span the rows inserted so far.  Each is zero before its
     pivot column and at the other pivot columns, and equals d, the last
     pivot, at its own: divided by d and sorted by pivot they are the rref.
+    rank counts them, solve and inverse read them, and kernel gives d times
+    the nullspace basis in ints.
     """
 
     def __init__(self, m=()):
-        """The elimination of the rows of m, scaled to integers first (which changes neither rank nor rref)."""
+        """The elimination of the rows of m, scaled to integers first (which changes neither rank nor kernel)."""
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.d = 1
@@ -157,19 +164,16 @@ class _Echelon:
         self.d = p
         return True
 
+    def kernel(self, nc: int) -> list[list[int]]:
+        """d times the nullspace basis for nc columns: per free column f, d at f and -row[f] at each pivot."""
+        rows = dict(zip(self.pivots, self.rows))
+        free = [f for f in range(nc) if f not in rows]
+        return [[-rows[c][f] if c in rows else self.d * (c == f) for c in range(nc)] for f in free]
+
 
 def rank(m: Matrix) -> int:
     """Rank: the number of rows the fraction-free elimination keeps."""
     return len(_Echelon(m).rows)
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    e = _Echelon(m)
-    kept = sorted(zip(e.pivots, e.rows))
-    red = [[Fraction(x, e.d) for x in row] for _, row in kept]
-    red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(kept))]
-    return red, [c for c, _ in kept]
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -179,26 +183,20 @@ def nullspace(m: Matrix) -> list[Vector]:
     """
     if not m:
         raise ValueError("nullspace of a matrix with no rows: the column count is unknown")
-    nc = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    e = _Echelon(m)
+    return [[Fraction(x, e.d) for x in v] for v in e.kernel(len(m[0]))]
 
 
 def _solve_augmented(a: Matrix, right: Matrix) -> Matrix:
-    """Right block of rref([a | right]) for square a; raises on singular a."""
+    """The right block of the echelon rows of [a | right], sorted by pivot, over d; for square nonsingular a only."""
     n = len(a)
-    red, pivots = rref([row + extra for row, extra in zip(a, right)])
-    if pivots != list(range(n)):
+    if len(right) != n or any([len(row) != n for row in a]):
+        widths = "/".join(map(str, sorted({len(row) for row in a})))
+        raise ValueError(f"not a square system: a {n}x{widths} matrix and a right-hand side of length {len(right)}")
+    e = _Echelon([row + extra for row, extra in zip(a, right)])
+    if sorted(e.pivots) != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    return [[Fraction(x, e.d) for x in row[n:]] for _, row in sorted(zip(e.pivots, e.rows))]
 
 
 def solve(a: Matrix, b: Vector) -> Vector:
@@ -243,13 +241,14 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     e_1, e_2, ...: each block v, Av, A^2 v, ... stops at its first power
     that depends on the basis so far, which the incremental elimination
     decides.  The dense start keeps the blocks, and so the relation matrix,
-    few where unit vectors alone would split A into many short blocks.  One
-    rref([K | tails]) writes every block's tail A^m_j v_j over the basis,
-    which gives the relation g_j(A) v_j = sum_(l<j) h_lj(A) v_l; the Smith
-    form of the relation matrix over Q[t] has A's invariant factors on its
-    diagonal, and f(t) of A maps back to f(d t)/d^deg(f) for a.  Raises
-    RuntimeError unless the degrees sum to n and the product equals
-    charpoly(a).
+    few where unit vectors alone would split A into many short blocks.  With
+    K the nonsingular matrix of the basis columns, the vector of
+    nullspace([K | tails]) with its unit at the tail A^m_j v_j writes that
+    tail over the basis, which gives the relation g_j(A) v_j = sum_(l<j)
+    h_lj(A) v_l; the Smith form of the relation matrix over Q[t] has A's
+    invariant factors on its diagonal, and f(t) of A maps back to
+    f(d t)/d^deg(f) for a.  Raises RuntimeError unless the degrees sum to n
+    and the product equals charpoly(a).
     """
     n = len(a)
     d, ai = _integer_scaled(a)
@@ -270,13 +269,11 @@ def invariant_factors(a: Matrix) -> list[Poly]:
                 break
         sizes.append(len(basis) - start)
         tails.append(v)
-    red, _ = rref(list(zip(*basis, *tails)))
     offsets = [sum(sizes[:j]) for j in range(len(sizes))]
     relations = []
-    for j in range(len(sizes)):
-        coords = [-row[n + j] for row in red]
-        rel = [coords[off : off + s] for off, s in zip(offsets, sizes)]
-        rel[j].append(Fraction(1))
+    for j, v in enumerate(nullspace(list(zip(*basis, *tails)))):
+        rel = [v[off : off + s] for off, s in zip(offsets, sizes)]
+        rel[j].append(v[n + j])
         relations.append([poly_trim(p) for p in rel])
     factors = [[c / d ** (len(f) - 1 - i) for i, c in enumerate(f)] for f in _smith_diagonal(relations) if len(f) > 1]
     product = [Fraction(1)]
@@ -558,14 +555,14 @@ def _unit_intervals_with_roots(p: Poly) -> list[int]:
     variations from a to b counts the distinct roots in (a, b].  Halving from
     the Cauchy bound 1 + max |coefficient| takes O(coefficient bits) steps per root.
     """
-    chain = _integer_scaled([squarefree_part(p)])[1]
-    chain.append(poly_deriv(chain[0]))
-    while chain[-1]:  # -prim(R) is a positive multiple of -(chain[-2] mod chain[-1]), so every sign stays
-        chain.append([-x for x in _primitive(_int_divmod(chain[-2], chain[-1])[2])])
-    chain.pop()
+    sturm = _integer_scaled([squarefree_part(p)])[1]
+    sturm.append(poly_deriv(sturm[0]))
+    while sturm[-1]:  # -prim(R) is a positive multiple of -(sturm[-2] mod sturm[-1]), so every sign stays
+        sturm.append([-x for x in _primitive(_int_divmod(sturm[-2], sturm[-1])[2])])
+    sturm.pop()
 
     def variations(y: int) -> int:
-        signs = [v > 0 for v in [poly_eval(f, y) for f in chain] if v]
+        signs = [v > 0 for v in [poly_eval(f, y) for f in sturm] if v]
         return sum([a != b for a, b in zip(signs, signs[1:])])
 
     bound = 1 + max([abs(c.numerator) for c in p])

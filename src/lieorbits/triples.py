@@ -115,14 +115,16 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
 
     The chains are built in ints from the powers of E = d*e (d the lcm of
     the denominators of e), which decide nilpotency (ValueError if e^n is not
-    zero).  For k = m, ..., 1 (m the nilpotency index) the integer-scaled
-    nullspace basis of E^k gives the candidate tops of length k, and one
-    product with E^(k-1) their bottoms.  The tops are the candidates whose
-    bottom is independent of every bottom before it, in one elimination of
-    all bottoms (a deterministic choice).  That is the stage-by-stage
-    kernel-filtration rule: e^(k-1) kills ker e^(k-1) and sends the height-k
-    layer of the longer chains and the earlier tops of the stage to their
-    bottoms, and a bottom that is no pivot lies in the span of those before it.
+    zero).  For k = m, ..., 1 (m the nilpotency index) the integer kernel
+    basis of E^k, read off its fraction-free echelon (the last pivot times
+    the basis with a unit at each free column), gives the candidate tops of
+    length k, and one product with E^(k-1) their bottoms.  The tops are the
+    candidates whose bottom is independent of every bottom before it, in one
+    elimination of all bottoms (a deterministic choice).  That is the
+    stage-by-stage kernel-filtration rule: e^(k-1) kills ker e^(k-1) and
+    sends the height-k layer of the longer chains and the earlier tops of
+    the stage to their bottoms, and a bottom that is no pivot lies in the
+    span of those before it.
 
     With g the chain basis, bottom first, column j of a chain of length s is
     E^(s-1-j) v = d^(s-1-j) e^(s-1-j) v.  h scales it by s-1-2j, and f sends it
@@ -146,7 +148,7 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     span = linalg._Echelon()
     tops: list[tuple[list[int], int]] = []  # (integer top vector, chain length)
     for k in range(depth, 0, -1):
-        basis = linalg._integer_scaled(linalg.nullspace(powers[k]))[1]  # scaling a chain changes neither h nor f
+        basis = linalg._Echelon(powers[k]).kernel(n)  # scaled by the last pivot, which changes neither h nor f
         bottoms = linalg._int_mul(basis, transposed[k - 1], n)
         tops += [(v, k) for v, b in zip(basis, bottoms) if span.insert(b)]
     if sum([s for _, s in tops]) != n:

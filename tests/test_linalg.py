@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     mat_vec,
+    naive_nullspace,
     naive_rank,
     naive_rref,
     plain_mul,
@@ -45,10 +46,20 @@ def column(v):
     return [[x] for x in v]
 
 
+def echelon_rref(m):
+    # the kept rows of the fraction-free elimination over its last pivot d, sorted by pivot and padded with
+    # zero rows: the rref they stand for, and its pivot columns
+    e = linalg._Echelon(m)
+    kept = sorted(zip(e.pivots, e.rows))
+    red = [[Fraction(x, e.d) for x in row] for _, row in kept]
+    return red + [[Fraction(0)] * len(row) for row in m[len(kept) :]], [c for c, _ in kept]
+
+
 def check_elimination(m):
-    # rank and rref against plain Fraction Gauss-Jordan; nullspace, solve and inverse by their defining products
+    # rank and the echelon rows against plain Fraction Gauss-Jordan; nullspace, solve and inverse by their
+    # defining products
     red, pivots = naive_rref(m)
-    assert linalg.rref(m) == (red, pivots)
+    assert echelon_rref(m) == (red, pivots)
     assert linalg.rank(m) == len(pivots)
     if not m:
         with pytest.raises(ValueError, match="no rows"):
@@ -62,6 +73,10 @@ def check_elimination(m):
         assert plain_mul(m, column(v)) == [[0]] * nr
         assert [v[c] for c in free] == [int(c == f) for c in free]
     if nr != nc:
+        with pytest.raises(ValueError, match="not a square system"):
+            linalg.solve(m, [Fraction(1)] * nr)
+        with pytest.raises(ValueError, match="not a square system"):
+            linalg.inverse(m)
         return
     if len(pivots) < nc:
         with pytest.raises(ValueError, match="singular matrix"):
@@ -101,8 +116,56 @@ def test_elimination_against_plain_gauss_jordan_and_row_order():
         check_elimination(m)
         shuffled = m[:]
         rng.shuffle(shuffled)
-        assert linalg.rref(shuffled) == linalg.rref(m)
+        assert echelon_rref(shuffled) == echelon_rref(m)
     assert linalg.inverse([]) == [] and linalg.solve([], []) == []
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [F(0, 0, 0), F(0, 0, 0)],  # zero
+        [F(2, "1/3"), F(-1, 5)],  # full rank, square
+        [F(1, 2, 0, "1/3", 5), F(2, 4, 1, 0, "-1/2")],  # wide
+        [F(1, 2), F("1/2", 1), F(0, 3), F(-1, 0)],  # tall
+        [F(0, "2/3", 3, 1), F(0, "2/3", 3, 1), F(0, 5, -1, 0), F(0, 5, -1, 0)],  # repeated rows, zero first column
+        [[3, 6, -9], [1, 2, -3]],  # int entries, rank 1
+    ],
+)
+def test_echelon_kernel_is_d_times_the_plain_nullspace(m):
+    e = linalg._Echelon(m)
+    kernel = e.kernel(len(m[0]))
+    assert all(type(x) is int for v in kernel for x in v)
+    assert kernel == [[e.d * x for x in v] for v in naive_nullspace(m)]
+
+
+def test_solve_and_inverse_refuse_non_square_systems():
+    # a wide, tall or ragged matrix has no inverse and no unique solution, and must not be read as if square
+    for a in ([[1, 0]], [[1, 2]], [[1], [0]], [[1, 0], [0]], [[]]):
+        with pytest.raises(ValueError, match=rf"not a square system: a {len(a)}x"):
+            linalg.solve(a, [1] * len(a))
+        with pytest.raises(ValueError, match="not a square system"):
+            linalg.inverse(a)
+    with pytest.raises(ValueError, match="right-hand side of length 1"):
+        linalg.solve(linalg.identity(2), [1])
+
+
+FLOAT_CALLS = {
+    "mat_mul": lambda: linalg.mat_mul([[0.1]], [[1]]),
+    "mat_mul integral float": lambda: linalg.mat_mul([[1]], [[Fraction(1, 3), 2.0]]),
+    "poly_mul": lambda: linalg.poly_mul([0.1], [1]),
+    "poly_divmod": lambda: linalg.poly_divmod([1, 2], [0.5, 1]),
+    "charpoly": lambda: linalg.charpoly([[0.25, 0], [0, 1]]),
+    "rank": lambda: linalg.rank([[1, 2], [3, 0.1]]),
+    "nullspace": lambda: linalg.nullspace([[0.1, 1]]),
+    "solve": lambda: linalg.solve([[1, 0], [0, 1]], [1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
+def test_kernels_refuse_floats_as_frac_does(call):
+    # as_integer_ratio would read 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError, match=r"is a float; give an exact int, string or Fraction"):
+        call()
 
 
 def test_nullspace_vectors_are_killed_and_count_matches():
@@ -242,7 +305,7 @@ def test_rref_solve_inverse_against_sympy(system):
     m, b = system
     nr, nc = len(m), len(m[0])
     sm = to_sympy(m)
-    red, pivots = linalg.rref(m)
+    red, pivots = echelon_rref(m)
     sred, spivots = sm.rref()
     assert (red, pivots) == (from_sympy(sred), list(spivots))
     rank = sm.rank()
