@@ -7,24 +7,22 @@ integer scalings d*a, d the lcm of the denominators of a (a polynomial p is
 the one-row matrix [p]), and build Fractions only for their results: mat_mul
 and poly_mul multiply two scalings in ints, and poly_eval_matrix runs Horner
 on d*a.  One fraction-free long division, _int_divmod, serves poly_divmod,
-poly_compose_mod and the gcd and Sturm remainder sequences, which divide each
-remainder by its content (primitive remainder sequences), so their
-coefficients stay near the size of the result's.  One fraction-free
-Gauss-Jordan elimination, fed one integer row at a time, is the only one:
-rank counts the rows it keeps, nullspace is the Fraction view of its integer
-kernel, and solve and inverse divide its rows, sorted by pivot, by the last
-pivot.  charpoly solves Newton's identities on the traces of the powers of d*a;
-invariant_factors grows a Krylov basis of d*a from a dense start vector,
-tests each new vector with the same elimination, and takes the relations
-from one nullspace and their Smith form over Q[t].  Every division in the
-polynomial routines is exact, and rational_roots bisects with a Sturm chain,
-in a number of steps bounded by the bit length of the coefficients.
+poly_compose_mod, the Smith form, and the remainder sequences of the one
+integer gcd and of the Sturm chain, which divide out each content.  One
+fraction-free Gauss-Jordan elimination, fed one integer row at a time, is the
+only one: rank counts the rows it keeps, nullspace is the Fraction view of its
+integer kernel, and solve and inverse divide its rows, sorted by pivot, by the
+last pivot.  charpoly solves Newton's identities on the traces of the powers
+of d*a; invariant_factors takes the Smith form in Z[t] of the relations of a
+Krylov basis of d*a, grown with the same elimination; rational_roots bisects
+a monic integer transform with a Sturm chain from Fujiwara's bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, count
+from functools import reduce
+from itertools import accumulate, chain, compress, count, zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -245,10 +243,10 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     K the nonsingular matrix of the basis columns, the vector of
     nullspace([K | tails]) with its unit at the tail A^m_j v_j writes that
     tail over the basis, which gives the relation g_j(A) v_j = sum_(l<j)
-    h_lj(A) v_l; the Smith form of the relation matrix over Q[t] has A's
-    invariant factors on its diagonal, and f(t) of A maps back to
-    f(d t)/d^deg(f) for a.  Raises RuntimeError unless the degrees sum to n
-    and the product equals charpoly(a).
+    h_lj(A) v_l, scaled to ints.  The Smith form of the relation matrix has
+    A's invariant factors, monic by Gauss's lemma, on its diagonal, and f(t)
+    of A maps back to f(d t)/d^deg(f) for a.  Raises RuntimeError unless the
+    degrees sum to n and the product equals charpoly(A), both in ints.
     """
     n = len(a)
     d, ai = _integer_scaled(a)
@@ -272,67 +270,63 @@ def invariant_factors(a: Matrix) -> list[Poly]:
     offsets = [sum(sizes[:j]) for j in range(len(sizes))]
     relations = []
     for j, v in enumerate(nullspace(list(zip(*basis, *tails)))):
+        _, (v,) = _integer_scaled([v])
         rel = [v[off : off + s] for off, s in zip(offsets, sizes)]
         rel[j].append(v[n + j])
         relations.append([poly_trim(p) for p in rel])
-    factors = [[c / d ** (len(f) - 1 - i) for i, c in enumerate(f)] for f in _smith_diagonal(relations) if len(f) > 1]
-    product = [Fraction(1)]
-    for f in factors:
-        product = poly_mul(product, f)
-    if sum(len(f) - 1 for f in factors) != n or product != charpoly(a):
+    factors = [f for f in _smith_diagonal(relations) if len(f) > 1]
+    if sum(len(f) - 1 for f in factors) != n or reduce(_int_poly_mul, factors, [1]) != charpoly(ai):
         raise RuntimeError("invariant factors disagree with the characteristic polynomial")
-    return factors
+    return [[Fraction(c, d ** (len(f) - 1 - i)) for i, c in enumerate(f)] for f in factors]
 
 
-def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
-    """Monic diagonal of the Smith form of a square nonsingular matrix over Q[t], in divisibility order.
+def _smith_diagonal(m: list[list[list[int]]]) -> list[list[int]]:
+    """The Smith diagonal over Q[t] of a nonsingular square integer polynomial matrix: primitive, lead > 0.
 
     Diagonalizes first: at each step an entry of least degree becomes the
-    pivot, made monic, and its row and column are reduced by division until
-    every remainder is zero.  Among pivots of one degree the one with the
-    fewest coefficient bits wins, since a large pivot inflates every row it
-    reduces.  Then each pair of diagonal entries (a, b) becomes
-    (gcd(a, b), ab/gcd(a, b)), which leaves a divisibility chain.
+    pivot, and each entry e of its column and row is pseudo-divided, s*e =
+    q*pivot + r, until every remainder is zero (_reduced).  Among pivots of
+    one degree the one with the fewest coefficient bits wins, since a large
+    pivot inflates every row it reduces.  Then each pair of diagonal entries
+    (a, b) becomes (gcd(a, b), ab/gcd(a, b)), which leaves a divisibility chain.
     """
     m = [row[:] for row in m]
     k = len(m)
     s = 0
     while s < k:
         _, _, i, j = min(
-            (len(m[i][j]), _bits(m[i][j]), i, j) for i in range(s, k) for j in range(s, k) if m[i][j]
+            (len(m[i][j]), sum(map(int.bit_length, m[i][j])), i, j) for i in range(s, k) for j in range(s, k) if m[i][j]
         )
         m[s], m[i] = m[i], m[s]
         for row in m[s:]:
             row[s], row[j] = row[j], row[s]
-        lead = m[s][s][-1]
-        m[s][s:] = [[c / lead for c in p] for p in m[s][s:]]
-        piv = m[s][s]
         clean = True
-        for row in m[s + 1 :]:
-            if row[s]:
-                q, r = poly_divmod(row[s], piv)
-                row[s:] = [poly_sub(x, poly_mul(q, y)) if y else x for x, y in zip(row[s:], m[s][s:])]
-                clean = clean and not r
-        for j in range(s + 1, k):
-            if m[s][j]:
-                q, r = poly_divmod(m[s][j], piv)
-                for row in m[s:]:
-                    if row[s]:
-                        row[j] = poly_sub(row[j], poly_mul(q, row[s]))
-                clean = clean and not r
+        for _ in range(2):  # the pivot's column by row operations, then its row as a column of the transpose
+            for row in m[s + 1 :]:
+                if row[s]:
+                    t, q, r = _int_divmod(row[s], m[s][s])
+                    row[s:] = _reduced(t, row[s:], q, m[s][s:])
+                    clean = clean and not r
+            m = [list(col) for col in zip(*m)]
         if clean:
             s += 1
-    diag = [m[s][s] for s in range(k)]
+    diag = [_int_gcd(m[s][s], []) for s in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             if len(diag[i]) > 1:
-                g = poly_gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, poly_mul(poly_divmod(diag[i], g)[0], diag[j])
+                g = _int_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, _int_gcd(_int_poly_mul(_int_divmod(diag[i], g)[1], diag[j]), [])
     return diag
 
 
-def _bits(p: Poly) -> int:
-    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in p)
+def _reduced(s: int, xs: list[list[int]], q: list[int], ys: list[list[int]]) -> list[list[int]]:
+    """The row (or column) xs made s*xs - q*ys against the pivot's ys, divided by its content."""
+    out = [
+        poly_trim([s * a - b for a, b in zip_longest(x, _int_poly_mul(q, y) if y else [], fillvalue=0)])
+        for x, y in zip(xs, ys)
+    ]
+    g = gcd(*chain.from_iterable(out))
+    return out if g < 2 else [[c // g for c in p] for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +409,16 @@ def poly_mod(p: Poly, q: Poly) -> Poly:
     return poly_divmod(p, q)[1]
 
 
-def poly_monic(p: Poly) -> Poly:
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = frac(p[-1])
-    return [x / lead for x in p]
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) of two trimmed integer lists, primitive with a positive lead ([] for two zeros).
 
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """The monic gcd ([] for two zeros), by a primitive remainder sequence on the integer scalings.
-
-    Each pseudo-remainder is divided by its content (Collins, J. ACM 14,
-    1967), where Euclid over Q lets the coefficients grow; only the last one
-    is made monic.
+    A primitive remainder sequence divides each pseudo-remainder by its content
+    (Collins, J. ACM 14, 1967), where Euclid over Q lets the coefficients grow.
     """
-    _, (a, b) = _integer_scaled([poly_trim(p), poly_trim(q)])
     while b:
         a, b = b, _primitive(_int_divmod(a, b)[2])
-    return poly_monic(a)
+    g = gcd(*a) if a and a[-1] > 0 else -gcd(*a)
+    return [x // g for x in a]
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -465,10 +450,13 @@ def poly_deriv(p: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): the same roots, each once.  Raises ValueError on the zero polynomial."""
-    if not poly_trim(p):
+    """p over the monic gcd(p, p'): the same roots, each once.  Raises ValueError on the zero polynomial."""
+    d, (ip,) = _integer_scaled([poly_trim(p)])
+    if not ip:
         raise ValueError("the zero polynomial has no squarefree part")
-    return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
+    g = _int_gcd(ip, poly_deriv(ip))
+    s, quo, _ = _int_divmod(ip, g)  # s*P = T*G, and p over the monic G/c is c*T/(s*d)
+    return [Fraction(g[-1] * x, s * d) for x in quo]
 
 
 def poly_eval(p: Poly, x):
@@ -519,44 +507,45 @@ def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """All rational roots of p with multiplicities, and the root-free cofactor.
+    """All rational roots of p with multiplicities, zero first and then ascending, and the root-free cofactor.
 
-    With p scaled to integers a_n t^n + ... + a_0, each rational root is y/a_n
-    for an integer root y of the monic integer a_n^(n-1) p(y/a_n), and the
-    candidates y come from Sturm-chain bisection.
+    With the zero roots stripped and p scaled to integers a_n t^n + ... + a_0,
+    each rational root is y/a_n for an integer root y of the monic integer
+    P(y) = a_n^(n-1) p(y/a_n).  Sturm bisection on the squarefree part of P
+    finds the y, and P is deflated in ints, exactly as it is monic.
     """
     q = poly_trim(list(p))
     if not q:
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
     k = next(i for i, c in enumerate(q) if c)
-    q = q[k:]
-    if k:
-        roots.append((Fraction(0), k))
+    roots, q = [(Fraction(0), k)] if k else [], q[k:]
     if len(q) <= 1:
         return roots, q
-    ip = _integer_scaled([q])[1][0]
+    d, (ip,) = _integer_scaled([q])
     n, lead = len(ip) - 1, ip[-1]
-    monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ip[:-1])] + [Fraction(1)]
-    for r in sorted([Fraction(y, lead) for y in _unit_intervals_with_roots(monic)]):
+    big = [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+    candidates = _unit_intervals_with_roots(_int_divmod(big, _int_gcd(big, poly_deriv(big)))[1])
+    for y in sorted(candidates, reverse=lead < 0):  # ascending y/a_n
         mult = 0
-        while len(q) > 1 and poly_eval(q, r) == 0:
-            q = poly_divmod(q, [-r, Fraction(1)])[0]
-            mult += 1
+        while len(big) > 1:
+            *quo, value = accumulate(reversed(big), lambda acc, c: acc * y + c)  # Horner: P / (t - y), then P(y)
+            if value:
+                break
+            big, mult = quo[::-1], mult + 1
         if mult:
-            roots.append((r, mult))
-    return roots, q
+            roots.append((Fraction(y, lead), mult))
+    # what is left of P, of degree m, is a_n^(m-1) d cofactor(y/a_n)
+    return roots, [Fraction(c * lead, d * lead ** (len(big) - 1 - i)) for i, c in enumerate(big)]
 
 
-def _unit_intervals_with_roots(p: Poly) -> list[int]:
-    """The integers y with a real root of the monic integer p in (y - 1, y].
+def _unit_intervals_with_roots(s: list[int]) -> list[int]:
+    """The integers y with a root of the squarefree monic integer s in (y - 1, y].
 
-    Sturm: on the chain of the squarefree part of p, the drop in sign
-    variations from a to b counts the distinct roots in (a, b].  Halving from
-    the Cauchy bound 1 + max |coefficient| takes O(coefficient bits) steps per root.
+    Sturm: on the chain of s, s' and the negated primitive pseudo-remainders,
+    the drop in sign variations from a to b counts the distinct roots in
+    (a, b].  Halving from a root bound takes O(coefficient bits) steps per root.
     """
-    sturm = _integer_scaled([squarefree_part(p)])[1]
-    sturm.append(poly_deriv(sturm[0]))
+    sturm = [s, poly_deriv(s)]
     while sturm[-1]:  # -prim(R) is a positive multiple of -(sturm[-2] mod sturm[-1]), so every sign stays
         sturm.append([-x for x in _primitive(_int_divmod(sturm[-2], sturm[-1])[2])])
     sturm.pop()
@@ -565,9 +554,10 @@ def _unit_intervals_with_roots(p: Poly) -> list[int]:
         signs = [v > 0 for v in [poly_eval(f, y) for f in sturm] if v]
         return sum([a != b for a, b in zip(signs, signs[1:])])
 
-    bound = 1 + max([abs(c.numerator) for c in p])
+    # 2^(1 + max_i ceil(bitlen(a_(m-i))/i)) exceeds Fujiwara's bound 2 max_i |a_(m-i)|^(1/i) (1916) on the roots
+    bound = 2 ** (1 + max([-(-c.bit_length() // i) for i, c in enumerate(reversed(s[:-1]), start=1)]))
     found = []
-    stack = [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
     while stack:
         lo, vlo, hi, vhi = stack.pop()
         if vlo > vhi and hi - lo == 1:

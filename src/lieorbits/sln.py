@@ -257,7 +257,12 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
 
 def rational_eigenvalues(x: SlnElement) -> dict[Fraction, int]:
     """Eigenvalues with multiplicity; raises unless the spectrum is rational."""
-    roots, rest = linalg.rational_roots(linalg.charpoly(x.to_matrix()))
+    return _spectrum(linalg.charpoly(x.to_matrix()))
+
+
+def _spectrum(p: Poly) -> dict[Fraction, int]:
+    """The roots of the characteristic polynomial p with multiplicity; raises unless all are rational."""
+    roots, rest = linalg.rational_roots(p)
     if linalg.poly_deg(rest) > 0:
         raise IrrationalSpectrumError(
             "matrix has irrational eigenvalues; conjugacy testing supports rational spectra only"
@@ -289,12 +294,16 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
 
     Equality of all such ranks pins the Jordan type at every eigenvalue; for
     traceless matrices conjugacy over the full linear group coincides with
-    conjugacy over the special linear group.  The two sequences are compared
+    conjugacy over the special linear group.  A rational spectrum fixes the
+    characteristic polynomial, so y's roots are sought only when it differs
+    from x's, to raise on an irrational one.  The rank sequences are compared
     power by power, so the first difference ends the test.
     """
     _same_n(x, y)
-    ex, ey = rational_eigenvalues(x), rational_eigenvalues(y)
-    if ex != ey:
+    p = linalg.charpoly(x.to_matrix())
+    ex = _spectrum(p)
+    if (py := linalg.charpoly(y.to_matrix())) != p:
+        _spectrum(py)
         return False
     for lam, mult in ex.items():
         if any(r != s for r, s in zip(_rank_sequence(x, lam, mult), _rank_sequence(y, lam, mult))):

@@ -8,6 +8,8 @@ shears and the conjugation use their own arithmetic, not linalg's products.
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import random
 import signal
 from fractions import Fraction
@@ -112,6 +114,133 @@ def plain_poly_gcd(p, q):
     while b:
         a, b = b, plain_poly_divmod(a, b)[1]
     return [x / a[-1] for x in a]
+
+
+def plain_poly_sub(p, q):
+    return plain_poly_trim([Fraction(a) - b for a, b in itertools.zip_longest(p, q, fillvalue=0)])
+
+
+def plain_poly_eval(p, x):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def plain_rational_roots(p):
+    """(roots, cofactor) as linalg.rational_roots gives them, in plain Fraction arithmetic: the oracle.
+
+    Each rational root is y/a_n for an integer root y of the monic
+    a_n^(n-1) p(y/a_n), p scaled to integers; the candidates y come from
+    Sturm bisection (plain_unit_intervals_with_roots) and each root is
+    divided out of p by Fraction long division.
+    """
+    q = plain_poly_trim(p)
+    if not q:
+        raise ValueError("zero polynomial")
+    roots = []
+    k = next(i for i, c in enumerate(q) if c)
+    q = q[k:]
+    if k:
+        roots.append((Fraction(0), k))
+    if len(q) <= 1:
+        return roots, q
+    den = math.lcm(*[Fraction(c).denominator for c in q])
+    ip = [int(c * den) for c in q]
+    n, lead = len(ip) - 1, ip[-1]
+    monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ip[:-1])] + [Fraction(1)]
+    for r in sorted([Fraction(y, lead) for y in plain_unit_intervals_with_roots(monic)]):
+        mult = 0
+        while len(q) > 1 and plain_poly_eval(q, r) == 0:
+            q = plain_poly_divmod(q, [-r, Fraction(1)])[0]
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    return roots, q
+
+
+def plain_unit_intervals_with_roots(p):
+    """The integers y with a real root of the monic integer p in (y - 1, y]: the oracle.
+
+    Sturm over Q: on the Euclidean chain of the squarefree part of p, the
+    drop in sign variations from a to b counts the distinct roots in (a, b];
+    bisection starts from the Cauchy bound 1 + max |coefficient|.
+    """
+
+    def derivative(f):
+        return plain_poly_trim([i * c for i, c in enumerate(f)][1:])
+
+    sturm = [plain_poly_divmod(p, plain_poly_gcd(p, derivative(p)))[0]]
+    sturm.append(derivative(sturm[0]))
+    while sturm[-1]:
+        sturm.append([-c for c in plain_poly_divmod(sturm[-2], sturm[-1])[1]])
+    sturm.pop()
+
+    def variations(y):
+        signs = [v > 0 for v in [plain_poly_eval(f, y) for f in sturm] if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in p)
+    found = []
+    stack = [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo > vhi and hi - lo == 1:
+            found.append(hi)
+        elif vlo > vhi:
+            mid = (lo + hi) // 2
+            vmid = variations(mid)
+            stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+    return found
+
+
+def plain_smith_diagonal(m):
+    """Monic diagonal of the Smith form of a square nonsingular matrix over Q[t], in divisibility order: the oracle.
+
+    Entries are Fraction coefficient lists.  At each step an entry of least
+    degree (then fewest coefficient bits) becomes the pivot, made monic, and
+    its row and column are reduced by Fraction long division until every
+    remainder is zero; then each pair of diagonal entries (a, b) becomes
+    (gcd(a, b), ab/gcd(a, b)).
+    """
+    m = [[plain_poly_trim(p) for p in row] for row in m]
+    k = len(m)
+    s = 0
+    while s < k:
+        _, _, i, j = min(
+            (len(m[i][j]), sum(c.numerator.bit_length() + c.denominator.bit_length() for c in m[i][j]), i, j)
+            for i in range(s, k)
+            for j in range(s, k)
+            if m[i][j]
+        )
+        m[s], m[i] = m[i], m[s]
+        for row in m[s:]:
+            row[s], row[j] = row[j], row[s]
+        lead = m[s][s][-1]
+        m[s][s:] = [[c / lead for c in p] for p in m[s][s:]]
+        piv = m[s][s]
+        clean = True
+        for row in m[s + 1 :]:
+            if row[s]:
+                q, r = plain_poly_divmod(row[s], piv)
+                row[s:] = [plain_poly_sub(x, plain_poly_mul(q, y)) for x, y in zip(row[s:], m[s][s:])]
+                clean = clean and not r
+        for j in range(s + 1, k):
+            if m[s][j]:
+                q, r = plain_poly_divmod(m[s][j], piv)
+                for row in m[s:]:
+                    if row[s]:
+                        row[j] = plain_poly_sub(row[j], plain_poly_mul(q, row[s]))
+                clean = clean and not r
+        if clean:
+            s += 1
+    diag = [m[s][s] for s in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if len(diag[i]) > 1:
+                g = plain_poly_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, plain_poly_mul(plain_poly_divmod(diag[i], g)[0], diag[j])
+    return diag
 
 
 def plain_poly_compose_mod(p, s, m):

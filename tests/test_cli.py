@@ -543,7 +543,7 @@ def test_matrix_subcommands_output_pinned(capsys, tmp_path):
     # one digest over the stdout and exit code of every matrix subcommand on
     # the corpus, recorded before the polynomial kernels became fraction-free;
     # the 40x40 matrices pair with themselves, and same-orbit leaves out the
-    # dense one (irrational spectrum, 10-15 s of Sturm bisection)
+    # dense one, whose call test_same_orbit_on_the_dense_40x40_pinned pins
     corpus = matrix_command_corpus()
     paths = [
         write_matrix(tmp_path, f"m{i}.json", len(m), [[str(x) for x in row] for row in m]) for i, m in enumerate(corpus)
@@ -558,3 +558,17 @@ def test_matrix_subcommands_output_pinned(capsys, tmp_path):
             code, out = run(capsys, argv)
             digest.update(f"{cmd} {i} {code}\n{out}".encode())
     assert digest.hexdigest() == "2d46d385ec48370e5c9243dd20735368e83f54d2e78b787c1a6838cffce48469"
+
+
+def test_same_orbit_on_the_dense_40x40_pinned(capsys, tmp_path):
+    # README's dense 40x40 has an irrational spectrum: exit 1 and one JSON line, recorded before the
+    # spectrum left Fraction arithmetic
+    dense = matrix_command_corpus()[-2]
+    path = write_matrix(tmp_path, "dense.json", 40, [[str(x) for x in row] for row in dense])
+    with time_bound(5.0, "same-orbit on the dense 40x40"):
+        code, out = run(capsys, ["same-orbit", "--matrix", path, "--other", path])
+    assert code == 1
+    assert out == (
+        '{"error": "matrix has irrational eigenvalues; conjugacy testing supports rational spectra only", '
+        '"hint": "conjugacy testing supports rational eigenvalues only"}\n'
+    )

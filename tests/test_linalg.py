@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,6 +20,8 @@ from helpers import (
     plain_poly_gcd,
     plain_poly_mul,
     plain_poly_trim,
+    plain_rational_roots,
+    plain_smith_diagonal,
 )
 from lieorbits import linalg
 
@@ -417,7 +419,7 @@ POLY_INT_CASES = [
 
 @pytest.mark.parametrize("p,q", POLY_INT_CASES)
 def test_poly_routines_give_fractions_on_int_input(p, q):
-    calls = [(linalg.poly_monic, (p,)), (linalg.poly_gcd, (p, q)), (linalg.poly_xgcd, (p, q))]
+    calls = [(linalg.poly_xgcd, (p, q))]
     if p:
         calls.append((linalg.squarefree_part, (p,)))
     if q:
@@ -433,7 +435,7 @@ def test_squarefree_part_of_the_zero_polynomial_raises_value_error():
     for zero in ([], [0], F(0, 0)):
         with pytest.raises(ValueError, match="zero polynomial"):
             linalg.squarefree_part(zero)
-    assert linalg.poly_gcd([], []) == []
+    assert linalg._int_gcd([], []) == []
     assert linalg.poly_xgcd([], []) == ([], [Fraction(1)], [])
     assert linalg.squarefree_part(F(-4, 0, 1, 0)) == F(-4, 0, 1)  # t^3 - 4t
 
@@ -443,6 +445,12 @@ def test_squarefree_part_of_the_zero_polynomial_raises_value_error():
 COEFF = st.one_of(st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12))
 POLY = st.lists(COEFF, max_size=13)
 SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def int_scaled(p):
+    # p times the lcm of its denominators, trimmed: an integer list with the same roots
+    den = math.lcm(*[Fraction(c).denominator for c in p])
+    return [int(Fraction(c) * den) for c in plain_poly_trim(p)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -462,8 +470,10 @@ def test_poly_kernels_against_the_plain_fraction_oracle(p, q, s, a):
 
     product = linalg.poly_mul(p, q)
     assert product == plain_poly_mul(p, q) and fractions_only(product)
-    common = linalg.poly_gcd(p, q)
-    assert common == plain_poly_gcd(p, q) and fractions_only(common)
+    # the integer gcd of the scalings, primitive with a positive lead, is the monic gcd times its lead
+    common = linalg._int_gcd(int_scaled(p), int_scaled(q))
+    assert [Fraction(c, common[-1]) for c in common] == plain_poly_gcd(p, q)
+    assert not common or (common[-1] > 0 and math.gcd(*common) == 1 and all(type(c) is int for c in common))
     if plain_poly_trim(p):
         derivative = [i * Fraction(c) for i, c in enumerate(p)][1:]
         squarefree = linalg.squarefree_part(p)
@@ -495,7 +505,7 @@ def test_poly_gcd_divides_every_remainder_by_its_content(monkeypatch):
 
     monkeypatch.setattr(linalg, "_int_divmod", recording)
     p = plain_poly_mul(plain_poly_mul(F(-1, 3, -3, 1), F(3, 2)), F(-5, 3, 0, 0, 1))  # (t - 1)^3 (2t + 3)(t^4 + 3t - 5)
-    assert linalg.poly_gcd(p, linalg.poly_deriv(p)) == F(1, -2, 1)
+    assert linalg._int_gcd(int_scaled(p), int_scaled(linalg.poly_deriv(p))) == [1, -2, 1]
     assert len(divisors) > 3 and all(math.gcd(*q) == 1 for q in divisors[1:])
 
 
@@ -508,7 +518,7 @@ def test_gcd_and_xgcd():
         if not a and not b:
             continue
         g, u, v = linalg.poly_xgcd(a, b)
-        assert g == linalg.poly_gcd(a, b)
+        assert g == plain_poly_gcd(a, b)
         assert linalg.poly_add(linalg.poly_mul(u, a), linalg.poly_mul(v, b)) == g
         if g:
             assert not linalg.poly_mod(a, g) and not linalg.poly_mod(b, g)
@@ -551,8 +561,11 @@ def test_rational_roots_against_sympy(case):
     if not p:
         with pytest.raises(ValueError):
             linalg.rational_roots(p)
+        with pytest.raises(ValueError):
+            plain_rational_roots(p)
         return
     found, rest = linalg.rational_roots(p)
+    assert (found, rest) == plain_rational_roots(p)  # the same roots in the same order, and the same cofactor
     t = sympy.Symbol("t")
     expected = sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], t, domain="QQ")
     assert dict(found) == {Fraction(int(r.p), int(r.q)): m for r, m in expected.ground_roots().items()}
@@ -562,6 +575,71 @@ def test_rational_roots_against_sympy(case):
         for _ in range(m):
             back = linalg.poly_mul(back, [-r, Fraction(1)])
     assert back == p
+
+
+def monic_transform(p):
+    # P(y) = a_n^(n-1) p(y/a_n) for p scaled to integers a_n t^n + ... + a_0 with its zero roots stripped
+    ip = int_scaled(p)
+    ip = ip[next(i for i, c in enumerate(ip) if c) :]
+    n, lead = len(ip) - 1, ip[-1]
+    return [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polys_with_rational_roots())
+@example(([Fraction(10**12), Fraction(-(10**12))], [], Fraction(1)))  # t^2 - 10^24
+@example(([Fraction(10**12, 7)] * 2, [], Fraction(1)))  # (t - 10^12/7)^2
+@example(([], F(-3, -1, 1), Fraction(1)))  # t^2 - t - 3: its root (1 + sqrt 13)/2 lies above half the bound, 4
+@example(([Fraction(-5, 2)], F(1, 0, 0, 0, 0, -1), Fraction(-4, 3)))  # negative, non-unit lead
+def test_root_bound_encloses_every_real_root(case):
+    # the bisection starts from the root bound B of the squarefree part S of the monic transform, so it
+    # finds the unit interval (y - 1, y] of each real root of S only if every root lies inside (-B, B]
+    roots, cofactor, scale = case
+    p = [scale]
+    for r in roots:
+        p = plain_poly_mul(p, [-r, Fraction(1)])
+    p = plain_poly_mul(p, plain_poly_trim(cofactor)) if plain_poly_trim(cofactor) else p
+    if not any(plain_poly_trim(p)[:-1]):
+        return  # zero, a constant or a monomial: no root but zero, and no bisection
+    t = sympy.Symbol("t")
+    s = sympy.Poly(list(reversed(monic_transform(p))), t, domain="ZZ").sqf_part()
+    squarefree = [int(c) for c in reversed(s.all_coeffs())]
+    expected = sorted({int(sympy.ceiling(z)) for z in sympy.real_roots(s)})
+    assert sorted(linalg._unit_intervals_with_roots(squarefree)) == expected
+
+
+SMITH_COEFF = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def nonsingular_poly_matrices(draw):
+    # k x k, k <= 4, entries of degree <= 3 with denominators 2 and 3; a linear factor shared by some rows
+    # gives invariant factors other than 1 and the determinant
+    k = draw(st.integers(1, 4))
+    m = [[plain_poly_trim(draw(st.lists(SMITH_COEFF, max_size=3))) for _ in range(k)] for _ in range(k)]
+    shared = [draw(SMITH_COEFF), draw(SMITH_COEFF.filter(bool))]
+    for r in draw(st.sets(st.integers(0, k - 1))):
+        m[r] = [plain_poly_mul(p, shared) for p in m[r]]
+    at = [[sum((c * Fraction(7, 5) ** i for i, c in enumerate(p)), Fraction(0)) for p in row] for row in m]
+    assume(naive_rank(at) == k)  # nonsingular at t = 7/5, so over Q[t]
+    return m
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(nonsingular_poly_matrices())
+@example([[F(1, -2, 1), []], [[], F(-1, 1)]])  # diag((t - 1)^2, t - 1)
+@example([[F(-3, 0, -2), [Fraction(1, 2)]], [F(0, 0, 6), F(1, 0, -4)]])  # negative and non-unit leads
+@example([[[Fraction(2, 3), Fraction(-1, 2)], F(0, 2)], [F(0, 4), F(0, 0, 4)]])  # t divides every entry
+def test_smith_diagonal_against_the_plain_fraction_oracle(m):
+    # each row scaled to ints (a unit of Q[t]); the integer diagonal is primitive with a positive lead, and
+    # the monic diagonal of the oracle divided by the lead
+    rows = []
+    for row in m:
+        den = math.lcm(*[c.denominator for p in row for c in p])
+        rows.append([[int(c * den) for c in p] for p in row])
+    diag = linalg._smith_diagonal(rows)
+    assert [[Fraction(c, f[-1]) for c in f] for f in diag] == plain_smith_diagonal(m)
+    assert all(f[-1] > 0 and math.gcd(*f) == 1 and all(type(c) is int for c in f) for f in diag)
 
 
 def test_compose_mod():

@@ -321,6 +321,17 @@ def test_polynomial_calls_on_the_dense_40x40_are_bounded():
         same_orbit(x, x)
 
 
+def test_same_orbit_of_a_40x40_jordan_type_is_bounded():
+    # repeated rational eigenvalues: the spectrum of one shared characteristic polynomial, then a rank
+    # sequence per eigenvalue
+    rng = random.Random(40)
+    x = rand_jordan_type(rng, 40)
+    g, gi = rand_unimodular(rng, 40)
+    y = conjugate(g, gi, x)
+    with time_bound(3.0, "same_orbit of a 40x40 Jordan type"):
+        assert same_orbit(x, y)
+
+
 def check_jordan_properties(x):
     jp = jordan_chevalley(x)
     xs, xn = jp.semisimple_part, jp.nilpotent_part
@@ -566,6 +577,37 @@ def test_same_orbit_examples():
     assert not same_orbit(E(3, 1, 2), SlnElement.zero(3))
     with pytest.raises(IrrationalSpectrumError):
         same_orbit(SlnElement.from_rows([[0, 2], [1, 0]]), H)
+
+
+def test_same_orbit_roots_a_shared_characteristic_polynomial_once(monkeypatch):
+    # a rational spectrum fixes the characteristic polynomial: y's roots are sought only when its polynomial
+    # differs from x's, and an irrational x raises before y's polynomial is formed
+    roots_calls, charpoly_calls = [], []
+    rational_roots, charpoly = linalg.rational_roots, linalg.charpoly
+    monkeypatch.setattr(linalg, "rational_roots", lambda p: roots_calls.append(p) or rational_roots(p))
+    monkeypatch.setattr(linalg, "charpoly", lambda a: charpoly_calls.append(a) or charpoly(a))
+
+    def calls(x, y):
+        roots_calls.clear()
+        charpoly_calls.clear()
+        try:
+            answer = same_orbit(x, y)
+        except IrrationalSpectrumError:
+            answer = IrrationalSpectrumError
+        return answer, len(roots_calls), len(charpoly_calls)
+
+    rng = random.Random(79)
+    for n in (3, 5, 7):
+        x = rand_jordan_type(rng, n)
+        g, gi = rand_unimodular(rng, n)
+        assert calls(x, conjugate(g, gi, x)) == (True, 1, 2)
+    assert calls(E(3, 1, 2), SlnElement.zero(3)) == (False, 1, 2)  # one polynomial t^3, two Jordan types
+    assert calls(X, H) == (False, 2, 2)
+    assert calls(H, 2 * H) == (False, 2, 2)
+    irrational = SlnElement.from_rows([[0, 2], [1, 0]])
+    assert calls(irrational, H) == (IrrationalSpectrumError, 1, 1)
+    assert calls(irrational, irrational) == (IrrationalSpectrumError, 1, 1)
+    assert calls(H, irrational) == (IrrationalSpectrumError, 2, 2)
 
 
 def test_same_orbit_dilation_of_nilpotent_part():

@@ -136,3 +136,28 @@ def test_no_stranded_private_functions():
     # a private top-level def that nothing calls is left over from a removal;
     # module hooks such as __getattr__ are called by the interpreter
     assert _unreferenced(lambda module, name: name.startswith("_") and not name.endswith("__")) == []
+
+
+def test_integer_kernels_never_name_fraction():
+    # the remainder sequences, the Smith form and the Sturm chain run in ints and build no Fraction; a
+    # Fraction brought back into one of them would normalize a gcd at every step
+    kernels = {
+        "_int_divmod",
+        "_int_poly_mul",
+        "_int_gcd",
+        "_smith_diagonal",
+        "_reduced",
+        "_unit_intervals_with_roots",
+    }
+    path = Path(lieorbits.__file__).parent / "linalg.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name in kernels}
+    assert set(defs) == kernels
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, d in sorted(defs.items())
+        for node in ast.walk(d)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert offenders == []
