@@ -405,10 +405,6 @@ def _int_divmod(p: list[int], q: list[int]) -> tuple[int, list[int], list[int]]:
     return s, quo, r
 
 
-def poly_mod(p: Poly, q: Poly) -> Poly:
-    return poly_divmod(p, q)[1]
-
-
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """gcd(a, b) of two trimmed integer lists, primitive with a positive lead ([] for two zeros).
 

@@ -191,31 +191,33 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     """Split x into commuting semisimple and nilpotent parts, exactly.
 
     Newton iteration on the squarefree part q of the characteristic
-    polynomial p, carried out in the quotient ring Q[T]/(p): starting from
-    the identity polynomial, iterate s -> s - q(s)*u(s), where u inverts q'
-    modulo q.  Since q(x) is nilpotent, ceil(log2 n) + 1 rounds reach an
-    exact fixed point; evaluating the resulting polynomial at x gives the
-    semisimple part, and the computation never leaves the rationals.
+    polynomial p, in the quotient ring Q[T]/(p): from the identity
+    polynomial t, iterate s -> N(s) for the Newton map N(t) = t - q(t)*u(t),
+    u the inverse of q' modulo q.  u(s) is a unit modulo p, so s stops
+    changing exactly when q(s) = 0, which ceil(log2 n) + 1 rounds reach as
+    q(x) is nilpotent; no round runs when p is squarefree (q = p).
+    Evaluating the resulting polynomial at x gives the semisimple part, and
+    the computation never leaves the rationals.
     """
     a = x.to_matrix()
     n = x.n
     p = linalg.charpoly(a)
     q = linalg.squarefree_part(p)
-    u = None  # made by the first round that needs it; none does when p is squarefree
-    sigma: Poly = [Fraction(0), Fraction(1)]
-    for _ in range((n - 1).bit_length() + 1):  # ceil(log2 n) + 1
-        qs = linalg.poly_compose_mod(q, sigma, p)
-        if not qs:
-            break
-        if u is None:
-            _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
-        us = linalg.poly_compose_mod(u, sigma, p)
-        sigma = linalg.poly_mod(linalg.poly_sub(sigma, linalg.poly_mul(qs, us)), p)
+    t: Poly = [Fraction(0), Fraction(1)]
+    sigma = t
+    if len(q) < len(p):  # a repeated root
+        _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
+        newton = linalg.poly_sub(t, linalg.poly_mul(q, u))
+        for _ in range((n - 1).bit_length() + 1):  # ceil(log2 n) + 1
+            step = linalg.poly_compose_mod(newton, sigma, p)
+            if step == sigma:
+                break
+            sigma = step
     if linalg.poly_compose_mod(q, sigma, p):
         raise RuntimeError("Newton iteration failed to converge; this is a bug")
     xs = linalg.poly_eval_matrix(sigma, a)
     xn = linalg.mat_sub(a, xs)
-    tau = linalg.poly_sub([Fraction(0), Fraction(1)], sigma)
+    tau = linalg.poly_sub(t, sigma)
     return JordanPair(
         semisimple_part=SlnElement.from_rows(xs),
         nilpotent_part=SlnElement.from_rows(xn),

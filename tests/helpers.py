@@ -120,6 +120,10 @@ def plain_poly_sub(p, q):
     return plain_poly_trim([Fraction(a) - b for a, b in itertools.zip_longest(p, q, fillvalue=0)])
 
 
+def plain_poly_deriv(p):
+    return plain_poly_trim([i * Fraction(c) for i, c in enumerate(p)][1:])
+
+
 def plain_poly_eval(p, x):
     out = Fraction(0)
     for c in reversed(p):
@@ -167,11 +171,8 @@ def plain_unit_intervals_with_roots(p):
     bisection starts from the Cauchy bound 1 + max |coefficient|.
     """
 
-    def derivative(f):
-        return plain_poly_trim([i * c for i, c in enumerate(f)][1:])
-
-    sturm = [plain_poly_divmod(p, plain_poly_gcd(p, derivative(p)))[0]]
-    sturm.append(derivative(sturm[0]))
+    sturm = [plain_poly_divmod(p, plain_poly_gcd(p, plain_poly_deriv(p)))[0]]
+    sturm.append(plain_poly_deriv(sturm[0]))
     while sturm[-1]:
         sturm.append([-c for c in plain_poly_divmod(sturm[-2], sturm[-1])[1]])
     sturm.pop()
@@ -251,6 +252,43 @@ def plain_poly_compose_mod(p, s, m):
         step[0] += c
         out = plain_poly_divmod(step, m)[1]
     return out
+
+
+def plain_poly_inverse_mod(a, m):
+    """b with a*b = 1 modulo m and deg b < deg m, by the extended Euclid in plain Fraction arithmetic: the oracle.
+
+    Each remainder r_i keeps r_i = s_i * a modulo m; the last nonzero one is a
+    constant when a and m are coprime, and s_i over it is the inverse.
+    """
+    r0, r1 = plain_poly_trim(Fraction(c) for c in m), plain_poly_divmod(a, m)[1]
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        quo, rem = plain_poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, plain_poly_sub(s0, plain_poly_mul(quo, s1))
+    if len(r0) != 1:
+        raise ValueError("not coprime")
+    return [c / r0[0] for c in s0]
+
+
+def plain_jordan_witness(p):
+    """The semisimple witness of the Jordan-Chevalley split for the characteristic polynomial p: the oracle.
+
+    With q = p / gcd(p, p') and u the inverse of q' modulo q, a Newton round
+    composes q and u with s apart and reduces s - q(s)u(s) modulo p; rounds
+    run from s = t until q(s) = 0 modulo p.  Plain Fraction arithmetic, not linalg.
+    """
+    p = plain_poly_trim(Fraction(c) for c in p)
+    q = plain_poly_divmod(p, plain_poly_gcd(p, plain_poly_deriv(p)))[0]
+    u = plain_poly_inverse_mod(plain_poly_deriv(q), q)
+    s = [Fraction(0), Fraction(1)]
+    for _ in range(len(p)):
+        qs = plain_poly_compose_mod(q, s, p)
+        if not qs:
+            return s
+        us = plain_poly_compose_mod(u, s, p)
+        s = plain_poly_divmod(plain_poly_sub(s, plain_poly_mul(qs, us)), p)[1]
+    raise RuntimeError("Newton iteration did not reach q(s) = 0")
 
 
 def plain_poly_eval_matrix(p, a):

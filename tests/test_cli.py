@@ -114,6 +114,15 @@ def test_invariant_factor_check_exits_3(capsys, monkeypatch, x2):
     assert "linalg.invariant_factors" in error and "characteristic polynomial" in error
 
 
+def test_newton_convergence_check_exits_3(capsys, monkeypatch, x2):
+    # an inverse of q' that is 0 makes the Newton map the identity, so q(s) never vanishes
+    monkeypatch.setattr(linalg, "poly_xgcd", lambda p, q: ([Fraction(1)], [], []))
+    code, out = run(capsys, ["jordan", "--matrix", x2])
+    assert code == 3
+    error = one_json_line(out)["error"]
+    assert "lieorbits.sln.jordan_chevalley" in error and "failed to converge" in error
+
+
 def test_w0(capsys):
     code, out = run(capsys, ["w0", "--type", "A", "--rank", "2"])
     d = json.loads(out)

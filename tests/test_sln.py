@@ -20,7 +20,10 @@ from helpers import (
     conjugate,
     mat_vec,
     naive_rank,
+    plain_jordan_witness,
     plain_mul,
+    plain_poly_deriv,
+    plain_poly_gcd,
     rand_jordan_type,
     rand_nilpotent,
     rand_partition,
@@ -276,6 +279,20 @@ def test_jordan_chevalley_examples():
 
 def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
     cyclic = SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # charpoly t^3 - 1, squarefree
+    mixed = SlnElement.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -2]])  # charpoly (t - 1)^2 (t + 2)
+    compose = linalg.poly_compose_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(linalg, "poly_compose_mod", counted)
+    # one composition per Newton round, and one more for the convergence check
+    for x, rounds in ((cyclic, 0), (X, 2), (mixed, 2)):
+        calls.clear()
+        jordan_chevalley(x)
+        assert len(calls) == rounds + 1
     expected = jordan_chevalley(cyclic)
 
     def refuse(*args):
@@ -285,7 +302,20 @@ def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
     assert jordan_chevalley(cyclic) == expected
     assert expected.semisimple_part == cyclic and expected.nilpotent_part.is_zero()
     with pytest.raises(AssertionError, match="poly_xgcd called"):
-        jordan_chevalley(X)  # charpoly t^2: the Newton round needs the inverse of q'
+        jordan_chevalley(X)  # charpoly t^2: the Newton map needs the inverse of q'
+
+
+def test_jordan_chevalley_witness_is_the_two_composition_round():
+    # the one Newton map N(t) = t - q(t)u(t) gives the witness of s -> s - q(s)u(s) mod p, with q(s) and
+    # u(s) composed apart, on inputs whose characteristic polynomial p has a repeated root (p itself is
+    # checked against sympy in test_linalg)
+    rng = random.Random(24)
+    cases = [rand_jordan_type(rng, n) for n in range(2, 9) for _ in range(9)] + [rand_jordan_type(rng, 16)]
+    charpolys = [(x, linalg.charpoly(x.to_matrix())) for x in cases]
+    charpolys = [(x, p) for x, p in charpolys if len(plain_poly_gcd(p, plain_poly_deriv(p))) > 1]
+    assert len(charpolys) >= 60 and charpolys[-1][0].n == 16
+    for x, p in charpolys:
+        assert jordan_chevalley(x).semisimple_witness == tuple(plain_jordan_witness(p)), x
 
 
 def readme_dense_40x40() -> SlnElement:
@@ -330,6 +360,19 @@ def test_same_orbit_of_a_40x40_jordan_type_is_bounded():
     y = conjugate(g, gi, x)
     with time_bound(3.0, "same_orbit of a 40x40 Jordan type"):
         assert same_orbit(x, y)
+
+
+def test_jordan_chevalley_of_a_40x40_jordan_type_is_bounded():
+    # repeated rational eigenvalues, so the Newton rounds run on degree-40 remainders
+    rng = random.Random(40)
+    x = rand_jordan_type(rng, 40)
+    g, gi = rand_unimodular(rng, 40)
+    y = conjugate(g, gi, x)
+    with time_bound(3.0, "jordan_chevalley of a 40x40 Jordan type"):
+        jp = jordan_chevalley(y)
+    xs, xn = jp.semisimple_part.to_matrix(), jp.nilpotent_part.to_matrix()
+    assert [[u + v for u, v in zip(r, s)] for r, s in zip(xs, xn)] == y.to_matrix()
+    assert plain_mul(xs, xn) == plain_mul(xn, xs) and not jp.nilpotent_part.is_zero()
 
 
 def check_jordan_properties(x):

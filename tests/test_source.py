@@ -139,12 +139,14 @@ def test_no_stranded_private_functions():
 
 
 def test_integer_kernels_never_name_fraction():
-    # the remainder sequences, the Smith form and the Sturm chain run in ints and build no Fraction; a
-    # Fraction brought back into one of them would normalize a gcd at every step
+    # the remainder sequences, the Smith form, the Sturm chain and the integer matrix product run in ints
+    # and build no Fraction; a Fraction brought back into one of them would normalize a gcd at every step
     kernels = {
         "_int_divmod",
         "_int_poly_mul",
         "_int_gcd",
+        "_int_mul",
+        "_primitive",
         "_smith_diagonal",
         "_reduced",
         "_unit_intervals_with_roots",
