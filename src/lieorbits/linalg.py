@@ -5,17 +5,19 @@ lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances, and a float entry raises TypeError.  The kernels run on
 integer scalings d*a, d the lcm of the denominators of a (a polynomial p is
 the one-row matrix [p]), and build Fractions only for their results: mat_mul
-and poly_mul multiply two scalings in ints, and poly_eval_matrix runs Horner
-on d*a.  One fraction-free long division, _int_divmod, serves poly_divmod,
+and poly_mul multiply two scalings in ints, and poly_eval_matrix is the
+Fraction view of one integer Horner on d*a, which sln reads in ints.  One
+fraction-free long division, _int_divmod, serves poly_divmod,
 poly_compose_mod, the Smith form, and the remainder sequences of the one
 integer gcd and of the Sturm chain, which divide out each content.  One
 fraction-free Gauss-Jordan elimination, fed one integer row at a time, is the
 only one: rank counts the rows it keeps, nullspace is the Fraction view of its
 integer kernel, and solve and inverse divide its rows, sorted by pivot, by the
-last pivot.  charpoly solves Newton's identities on the traces of the powers
-of d*a; invariant_factors takes the Smith form in Z[t] of the relations of a
-Krylov basis of d*a, grown with the same elimination; rational_roots bisects
-a monic integer transform with a Sturm chain from Fujiwara's bound.
+last pivot.  charpoly solves Newton's identities on the power sums of d*a,
+the first ceil(n/2) of them traces of its powers; invariant_factors takes the
+Smith form in Z[t] of the relations of a Krylov basis of d*a, grown with the
+same elimination; rational_roots bisects a monic integer transform with a
+Sturm chain from Fujiwara's bound.
 """
 
 from __future__ import annotations
@@ -212,19 +214,21 @@ def charpoly(a: Matrix) -> Poly:
     Newton's identities on the integer matrix A = d*a, d the lcm of the
     denominators of a: with p_k = tr(A^k), k*c_k = -(p_k + sum_(0<m<k) c_m
     p_(k-m)), and every division is exact.  Only A, ..., A^h, h = ceil(n/2),
-    are formed: p_k = tr(A^i A^j) (i + j = k) sums A^i times the transpose of
-    A^j entrywise.  Coefficient k of A's polynomial is d^k times that of a.
+    are formed: p_k for k <= h is a trace, and p_(h+j) = tr(A^h A^j) the dot
+    product of A^h with the transpose of A^j, entry by entry.  Coefficient k
+    of A's polynomial is d^k times that of a.
     """
     n = len(a)
     d, ai = _integer_scaled(a)
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)], ai]  # A^0, ..., A^h
-    while 2 * len(powers) < n + 2:
+    powers = [ai]  # A^1, ..., A^h
+    while 2 * len(powers) < n:
         powers.append(_int_mul(powers[-1], ai, n))
-    coeffs, sums = [1], []  # c_0, c_1, ... and p_1, p_2, ...
+    top = list(chain.from_iterable(powers[-1]))
+    sums = [sum([m[i][i] for i in range(n)]) for m in powers]  # p_1, ..., p_h
+    sums += [sum(map(mul, top, chain.from_iterable(zip(*m)))) for m in powers[: n - len(powers)]]  # ..., p_n
+    coeffs = [1]  # c_0, c_1, ...
     for k in range(1, n + 1):
-        i = min(k, len(powers) - 1)
-        sums.append(sum(sum(map(mul, row, col)) for row, col in zip(powers[i], zip(*powers[k - i]))))
-        c, rem = divmod(-sum(map(mul, coeffs, reversed(sums))), k)
+        c, rem = divmod(-sum(map(mul, coeffs, reversed(sums[:k]))), k)
         if rem:
             raise RuntimeError(f"Newton's identity {k} left remainder {rem} on an integer matrix")
         coeffs.append(c)
@@ -464,22 +468,26 @@ def poly_eval(p: Poly, x):
 
 
 def poly_eval_matrix(p: Poly, a: Matrix) -> Matrix:
-    """p(a) by Horner's rule on A = d*a in ints: with P = d_p*p, sum_k P_k d^(m-k) A^k = d_p d^m p(a), m = deg p."""
+    """p(a), the Fraction view of _int_poly_eval_matrix on A = d*a."""
+    den, out = _int_poly_eval_matrix(p, *_integer_scaled(a))
+    zero = Fraction(0)
+    return [[Fraction(x, den) if x else zero for x in row] for row in out]
+
+
+def _int_poly_eval_matrix(p: Poly, d: int, a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(den, S) with p(a/d) = S/den, by Horner on the integer matrix a: with P = d_p*p, S = sum_k P_k d^(m-k) a^k."""
     n = len(a)
-    d, ai = _integer_scaled(a)
     dp, (pi,) = _integer_scaled([p])
     out = [[0] * n for _ in range(n)]
     scale = 1  # d^(m-k) at coefficient k
     for k, c in enumerate(reversed(pi)):
         if k:
-            out = _int_mul(out, ai, n)
+            out = _int_mul(out, a, n)
             scale *= d
         c *= scale
         for i in range(n):
             out[i][i] += c
-    den = dp * scale
-    zero = Fraction(0)
-    return [[Fraction(x, den) if x else zero for x in row] for row in out]
+    return dp * scale, out
 
 
 def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:

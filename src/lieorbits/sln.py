@@ -4,7 +4,10 @@ Provides the bracket, the Killing form (2n times the trace form), the adjoint
 operator in a fixed basis, centralizer and orbit dimensions, semisimplicity
 and nilpotency tests, the Jordan decomposition, characteristic-polynomial
 invariants, a conjugacy test for rational spectra, and the orbit symplectic
-pairing.  All arithmetic is exact; there is no floating-point mode.
+pairing.  All arithmetic is exact; there is no floating-point mode.  The
+bracket, the Killing form, the Jordan parts and the rank sequences scale
+their inputs to integers once, X = d*x, compute in ints, and build each
+Fraction of a result once.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -23,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from . import linalg
 from .linalg import Matrix, Poly
@@ -97,6 +102,12 @@ def _same_n(x: SlnElement, y: SlnElement):
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
+def _from_ints(m: list[list[int]], den: int) -> SlnElement:
+    """The element m/den of a square integer matrix m, den > 0: one Fraction per nonzero entry."""
+    zero = Fraction(0)
+    return SlnElement(len(m), tuple([tuple([Fraction(v, den) if v else zero for v in row]) for row in m]))
+
+
 def coords_in_basis(m: Matrix) -> list[Fraction]:
     """Coordinates of a traceless matrix over the fixed basis."""
     n = len(m)
@@ -109,20 +120,20 @@ def coords_in_basis(m: Matrix) -> list[Fraction]:
 
 
 def bracket(x: SlnElement, y: SlnElement) -> SlnElement:
-    """The commutator xy - yx."""
+    """The commutator xy - yx: (XY - YX)/d^2 for X, Y = d*(x, y), d the lcm of all their denominators."""
     _same_n(x, y)
-    a, b = x.to_matrix(), y.to_matrix()
-    return SlnElement.from_rows(linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
+    n = x.n
+    d, rows = linalg._integer_scaled(x.entries + y.entries)
+    ab, ba = linalg._int_mul(rows[:n], rows[n:], n), linalg._int_mul(rows[n:], rows[:n], n)
+    return _from_ints([[u - v for u, v in zip(r, s)] for r, s in zip(ab, ba)], d * d)
 
 
 def killing(x: SlnElement, y: SlnElement) -> Fraction:
-    """The invariant form 2n * trace(xy)."""
+    """The invariant form 2n * trace(xy): 2n * sum_ij X_ij Y_ji / d^2 for X, Y = d*(x, y)."""
     _same_n(x, y)
     n = x.n
-    t = Fraction(0)
-    for i in range(n):
-        t += sum((x.entries[i][j] * y.entries[j][i] for j in range(n)), Fraction(0))
-    return 2 * n * t
+    d, rows = linalg._integer_scaled(x.entries + y.entries)
+    return Fraction(2 * n * sum(map(mul, chain.from_iterable(rows[:n]), chain.from_iterable(zip(*rows[n:])))), d * d)
 
 
 def _add_bracket_unit(m: Matrix, a: Matrix, i: int, j: int, sign: int) -> None:
@@ -196,8 +207,9 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     u the inverse of q' modulo q.  u(s) is a unit modulo p, so s stops
     changing exactly when q(s) = 0, which ceil(log2 n) + 1 rounds reach as
     q(x) is nilpotent; no round runs when p is squarefree (q = p).
-    Evaluating the resulting polynomial at x gives the semisimple part, and
-    the computation never leaves the rationals.
+    Horner on X = d*x in ints gives the semisimple part S/den, and the
+    nilpotent part is (X*(L/d) - S*(L/den))/L, L = lcm(d, den): den need not
+    be a multiple of d (sigma = 0 and den = 1 when x is nilpotent).
     """
     a = x.to_matrix()
     n = x.n
@@ -215,12 +227,14 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
             sigma = step
     if linalg.poly_compose_mod(q, sigma, p):
         raise RuntimeError("Newton iteration failed to converge; this is a bug")
-    xs = linalg.poly_eval_matrix(sigma, a)
-    xn = linalg.mat_sub(a, xs)
+    d, ai = linalg._integer_scaled(x.entries)
+    den, s = linalg._int_poly_eval_matrix(sigma, d, ai)
+    m = math.lcm(d, den)
+    xn = [[m // d * u - m // den * v for u, v in zip(r, w)] for r, w in zip(ai, s)]
     tau = linalg.poly_sub(t, sigma)
     return JordanPair(
-        semisimple_part=SlnElement.from_rows(xs),
-        nilpotent_part=SlnElement.from_rows(xn),
+        semisimple_part=_from_ints(s, den),
+        nilpotent_part=_from_ints(xn, m),
         semisimple_witness=tuple(sigma),
         nilpotent_witness=tuple(tau),
     )
@@ -278,12 +292,13 @@ def _rank_sequence(x: SlnElement, lam: Fraction, mult: int):
     With rank n - mult for every power k >= mult, these ranks fix the sizes
     of the Jordan blocks of x at an eigenvalue lam of multiplicity mult: the
     number of blocks of size at least k is rank^(k-1) - rank^k.  The powers
-    are those of the integer matrix D*(x - lam I), which have the same ranks.
+    are those of the integer matrix D*(x - lam I) = X*(D/d) - (D*lam)I, X =
+    d*x and D = lcm(d, den lam), which have the same ranks.
     """
-    a = x.to_matrix()
-    for i in range(x.n):
-        a[i][i] -= lam
-    _, a = linalg._integer_scaled(a)
+    d, a = linalg._integer_scaled(x.entries)
+    big = math.lcm(d, lam.denominator)
+    s, c = big // d, lam.numerator * (big // lam.denominator)
+    a = [[s * v - c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
     power = a
     for k in range(1, mult):
         if k > 1:

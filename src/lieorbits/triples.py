@@ -24,7 +24,9 @@ e^(k-1) maps ker e^k onto ker e ∩ im e^(k-1) with kernel ker e^(k-1), and the
 height-k layer of the longer chains to their bottoms, v is independent of
 ker e^(k-1), that layer and the earlier tops of its stage exactly when its
 bottom is independent of the earlier pivots.  The chains are independent
-because their bottoms are.
+because their bottoms are.  h and y are integer products over one scaling
+of the inverse chain basis, checked in ints by the relation test that
+verify_matrix_triple runs, before any Fraction is built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .sln import SlnElement
+from .sln import SlnElement, _from_ints
 
 if TYPE_CHECKING:
     from .rootsys import RootSystem
@@ -60,15 +62,20 @@ class MatrixTriple(namedtuple("MatrixTriple", "x h y")):
 def verify_matrix_triple(t: MatrixTriple) -> bool:
     """Exact check of all three defining bracket relations.
 
-    On the integer matrices X, H, Y = D*(x, h, y), D the lcm of all their
-    denominators, the relations read [X,Y] = D*H, [H,X] = 2D*X and [H,Y] = -2D*Y.
+    Runs _relations_hold on X, H, Y = D*(x, h, y), D the lcm of all their
+    denominators.
     """
     n = t.x.n
     if not (n == t.h.n == t.y.n):
         raise ValueError("triple members must share a dimension")
     d, rows = linalg._integer_scaled(t.x.entries + t.h.entries + t.y.entries)
-    x, h, y = rows[:n], rows[n : 2 * n], rows[2 * n :]
-    for a, b, want, c in ((x, y, h, d), (h, x, x, 2 * d), (h, y, y, -2 * d)):
+    return _relations_hold(rows[:n], rows[n : 2 * n], rows[2 * n :], d, d)
+
+
+def _relations_hold(x: list[list[int]], h: list[list[int]], y: list[list[int]], dx: int, dh: int) -> bool:
+    """The bracket relations of (x/dx, h/dh, y/dh) in ints: [x,y] = dx*h, [h,x] = 2dh*x and [h,y] = -2dh*y."""
+    n = len(x)
+    for a, b, want, c in ((x, y, h, dx), (h, x, x, 2 * dh), (h, y, y, -2 * dh)):
         ab, ba = linalg._int_mul(a, b, n), linalg._int_mul(b, a, n)
         if any(u - v != c * w for r, s, m in zip(ab, ba, want) for u, v, w in zip(r, s, m)):
             return False
@@ -133,6 +140,8 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     e = g J g^-1 (J the standard nilpotent, g the chains e^(s-1-j) v): both
     satisfy [h, x] = 2x and [x, f] = h, so their difference has ad h-weight 2
     and is killed by ad f, which is injective on the positive ad h-weights.
+    With G^-1 = M/dg, M an integer matrix, h and f are (hcols*M)/dg and
+    (fcols*M)/dg, checked in ints by _relations_hold against E = d*e.
     """
     if e.is_zero():  # the general path gives h = y = 0 too, through eliminations, products and the bracket check
         return MatrixTriple(x=e, h=e, y=e)
@@ -163,10 +172,8 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
             cols.append(chain[j])
             hcols.append([(s - 1 - 2 * j) * x for x in chain[j]])
             fcols.append([d * (j + 1) * (s - 1 - j) * x for x in chain[j + 1]])
-    ginv = linalg.inverse(_from_columns(cols))
-    h = SlnElement.from_rows(linalg.mat_mul(_from_columns(hcols), ginv))
-    f = SlnElement.from_rows(linalg.mat_mul(_from_columns(fcols), ginv))
-    t = MatrixTriple(x=e, h=h, y=f)
-    if not verify_matrix_triple(t):
+    dg, ginv = linalg._integer_scaled(linalg.inverse(_from_columns(cols)))
+    h, f = [linalg._int_mul(_from_columns(m), ginv, n) for m in (hcols, fcols)]
+    if not _relations_hold(a, h, f, d, dg):
         raise RuntimeError("constructed triple violated the bracket relations")
-    return t
+    return MatrixTriple(x=e, h=_from_ints(h, dg), y=_from_ints(f, dg))

@@ -114,6 +114,16 @@ def test_invariant_factor_check_exits_3(capsys, monkeypatch, x2):
     assert "linalg.invariant_factors" in error and "characteristic polynomial" in error
 
 
+def test_triple_bracket_check_exits_3(capsys, monkeypatch, x2):
+    # a chain-basis inverse scaled by 2 doubles h and y, so [h, x] = 4x
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda a: linalg.mat_scale(inverse(a), 2))
+    code, out = run(capsys, ["jm", "--matrix", x2])
+    assert code == 3
+    error = one_json_line(out)["error"]
+    assert "lieorbits.triples.jacobson_morozov_sln" in error and "violated the bracket relations" in error
+
+
 def test_newton_convergence_check_exits_3(capsys, monkeypatch, x2):
     # an inverse of q' that is 0 makes the Newton map the identity, so q(s) never vanishes
     monkeypatch.setattr(linalg, "poly_xgcd", lambda p, q: ([Fraction(1)], [], []))

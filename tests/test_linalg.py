@@ -269,6 +269,21 @@ def test_charpoly_against_sympy_and_minors(m):
     assert p == charpoly_by_sympy(m) == charpoly_by_minors(m)
 
 
+def test_charpoly_forms_only_the_powers_up_to_half(monkeypatch):
+    # p_k = tr(A^k) for k <= h = ceil(n/2), and p_(h+j) is read from A^h and the transpose of A^j, so
+    # A^2, ..., A^h are the only products: ceil(n/2) - 1 of them, none for n <= 2
+    int_mul = linalg._int_mul
+    calls = []
+    monkeypatch.setattr(linalg, "_int_mul", lambda *args: calls.append(args) or int_mul(*args))
+    rng = random.Random(25)
+    for n in range(11):
+        m = rand_matrix(rng, n, n)
+        calls.clear()
+        p = linalg.charpoly(m)
+        assert len(calls) == max(-(-n // 2) - 1, 0)
+        assert p == charpoly_by_minors(m)
+
+
 def test_charpoly_beyond_five_against_sympy():
     # Newton's identities form only A, ..., A^h with h = ceil(n/2): both
     # parities of n, with integer entries and with denominators 2 and 3

@@ -23,6 +23,7 @@ from helpers import (
     plain_jordan_witness,
     plain_mul,
     plain_poly_deriv,
+    plain_poly_eval_matrix,
     plain_poly_gcd,
     rand_jordan_type,
     rand_nilpotent,
@@ -396,6 +397,44 @@ def test_jordan_chevalley_random_and_idempotent():
         again = jordan_chevalley(jp.semisimple_part)
         assert again.semisimple_part.entries == jp.semisimple_part.entries
         assert again.nilpotent_part.is_zero()
+
+
+def scaled(x, c):
+    return SlnElement.from_rows([[c * v for v in row] for row in x.entries])
+
+
+def test_integer_ops_against_plain_fraction_oracles():
+    # bracket, killing, kks_form and jordan_chevalley scale their inputs to integers once and build each
+    # result entry once: mixed denominators, a nilpotent in halves (its Horner denominator 1 is no
+    # multiple of its scale 2), zero, and Jordan types in sixths, against products of Fractions
+    rng = random.Random(25)
+    halves = SlnElement.from_rows([["1/2", "3/2", 0], [-1, "-1/2", "5/2"], [0, "1/2", 0]])
+    thirds = SlnElement.from_rows([["1/3", 0, "2/3"], ["-4/3", 1, 0], [2, "1/3", "-4/3"]])
+    half_nilpotent = SlnElement.from_rows([[0, "1/2"], [0, 0]])
+    cases = [(halves, thirds), (thirds, halves), (SlnElement.zero(3), halves)]
+    cases += [(half_nilpotent, SlnElement.zero(2)), (SlnElement.zero(2), half_nilpotent)]
+    sixth = Fraction(1, 6)
+    cases += [(scaled(rand_jordan_type(rng, n), sixth), scaled(rand_jordan_type(rng, n), sixth)) for n in range(2, 8)]
+    for x, y in cases:
+        a, b, n = x.to_matrix(), y.to_matrix(), x.n
+        w = [list(col) for col in zip(*a)]  # x transposed, a third traceless element
+        br, k, kks = bracket(x, y), killing(x, y), kks_form(x, y, SlnElement.from_rows(w))
+        assert br.to_matrix() == plain_commutator(a, b)
+        assert k == 2 * n * plain_trace_product(a, b)
+        assert kks == 2 * n * plain_trace_product(a, plain_commutator(b, w))
+        values = [k, kks] + [v for row in br.entries for v in row]
+        for z in (x, y):
+            m = z.to_matrix()
+            jp = jordan_chevalley(z)
+            xs, xn = jp.semisimple_part.to_matrix(), jp.nilpotent_part.to_matrix()
+            assert jp.semisimple_witness == tuple(plain_jordan_witness(linalg.charpoly(m)))
+            assert xs == plain_poly_eval_matrix(jp.semisimple_witness, m)
+            assert [[u + v for u, v in zip(r, s)] for r, s in zip(xs, xn)] == m
+            assert plain_commutator(xs, xn) == [[0] * n for _ in range(n)]
+            values += [v for part in jp[:2] for row in part.entries for v in row]
+        assert all(type(v) is Fraction for v in values)
+    jp = jordan_chevalley(half_nilpotent)  # sigma = 0, so den = 1, which the scale d = 2 of x does not divide
+    assert jp.semisimple_part.is_zero() and jp.nilpotent_part == half_nilpotent
 
 
 def test_phi_examples_and_invariance():

@@ -139,27 +139,34 @@ def test_no_stranded_private_functions():
 
 
 def test_integer_kernels_never_name_fraction():
-    # the remainder sequences, the Smith form, the Sturm chain and the integer matrix product run in ints
-    # and build no Fraction; a Fraction brought back into one of them would normalize a gcd at every step
+    # the remainder sequences, the Smith form, the Sturm chain, the integer matrix product, Horner on an
+    # integer matrix and the sl2-triple relations run in ints and build no Fraction; a Fraction brought
+    # back into one of them would normalize a gcd at every step
     kernels = {
-        "_int_divmod",
-        "_int_poly_mul",
-        "_int_gcd",
-        "_int_mul",
-        "_primitive",
-        "_smith_diagonal",
-        "_reduced",
-        "_unit_intervals_with_roots",
+        "linalg.py": {
+            "_int_divmod",
+            "_int_poly_mul",
+            "_int_gcd",
+            "_int_mul",
+            "_int_poly_eval_matrix",
+            "_primitive",
+            "_smith_diagonal",
+            "_reduced",
+            "_unit_intervals_with_roots",
+        },
+        "triples.py": {"_relations_hold"},
     }
-    path = Path(lieorbits.__file__).parent / "linalg.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    defs = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name in kernels}
-    assert set(defs) == kernels
-    offenders = [
-        f"{name}:{node.lineno}"
-        for name, d in sorted(defs.items())
-        for node in ast.walk(d)
-        if (isinstance(node, ast.Name) and node.id == "Fraction")
-        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
-    ]
+    offenders = []
+    for module, names in kernels.items():
+        path = Path(lieorbits.__file__).parent / module
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name in names}
+        assert set(defs) == names
+        offenders += [
+            f"{module}:{name}:{node.lineno}"
+            for name, d in sorted(defs.items())
+            for node in ast.walk(d)
+            if (isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        ]
     assert offenders == []
