@@ -16,7 +16,10 @@ Exact numbers (matrix entries, each part of an --h coordinate) are an
 integer or [+-]digits/digits with a nonzero denominator; a value that
 starts with "-" is joined to its flag, as in --h=-1/2,0, since argparse
 reads a separate "-1/2,0" as a flag.  A matrix file is
-{"n": ..., "entries": [[...]]}, with no other key.
+{"n": ..., "entries": [[...]]}, with no other key.  An integer, numerator
+or denominator of more than 4,300 digits (CPython's int-string limit) exits
+2 like any number outside the grammar; a result prints in full, however
+many digits it has.
 """
 
 from __future__ import annotations
@@ -124,9 +127,21 @@ def _parse_subset(text: str | None) -> frozenset[int]:
     return frozenset(subset)
 
 
+def _text(v) -> str:
+    """str(v) in full: CPython's int-string limit (since 3.11 and 3.10.7) bounds the inputs, never a result."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit to lift
+    if not limit:
+        return str(v)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def matrix_to_json(x: sln.SlnElement) -> dict:
     """Matrix JSON with rationals rendered as exact strings."""
-    return {"n": x.n, "entries": [[str(v) for v in row] for row in x.entries]}
+    return {"n": x.n, "entries": [[_text(v) for v in row] for row in x.entries]}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -241,7 +256,7 @@ def _cmd_killing(args):
     y = _load_matrix(args.other)
     from . import sln
 
-    return {"value": str(sln.killing(x, y))}
+    return {"value": _text(sln.killing(x, y))}
 
 
 def _cmd_jordan(args):
@@ -259,7 +274,7 @@ def _cmd_phi(args):
     x = _load_matrix(args.matrix)
     from . import sln
 
-    return {"n": x.n, "coeffs": [str(c) for c in sln.invariants_phi(x)]}
+    return {"n": x.n, "coeffs": [_text(c) for c in sln.invariants_phi(x)]}
 
 
 def _cmd_orbit_dim(args):
@@ -286,8 +301,8 @@ def _cmd_triple(args):
     return {
         "type": args.type,
         "rank": args.rank,
-        "h_coroot_coords": [str(c) for c in t.h.coords],
-        "c": [str(c) for c in t.c],
+        "h_coroot_coords": [_text(c) for c in t.h.coords],
+        "c": [_text(c) for c in t.c],
         "verified": True,
     }
 

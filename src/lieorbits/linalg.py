@@ -14,17 +14,18 @@ fraction-free Gauss-Jordan elimination, fed one integer row at a time, is the
 only one: rank counts the rows it keeps, nullspace is the Fraction view of its
 integer kernel, and solve and inverse divide its rows, sorted by pivot, by the
 last pivot.  charpoly solves Newton's identities on the power sums of d*a,
-the first ceil(n/2) of them traces of its powers; invariant_factors takes the
-Smith form in Z[t] of the relations of a Krylov basis of d*a, grown with the
-same elimination; rational_roots bisects a monic integer transform with a
-Sturm chain from Fujiwara's bound.
+the first ceil(n/2) of them traces of its powers, which one lazy sequence,
+_int_powers, forms as it does for Jacobson-Morozov and sln.
+invariant_factors takes the Smith form in Z[t] of the relations of a Krylov
+basis of d*a, grown with the same elimination; rational_roots bisects a
+monic integer transform with a Sturm chain from Fujiwara's bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, count, zip_longest
+from itertools import accumulate, chain, compress, count, repeat, zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -96,8 +97,9 @@ def _int_mul(a: list[list[int]], b: list[list[int]], c: int) -> list[list[int]]:
     return out
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def _int_powers(a: list[list[int]], k: int):
+    """A, A^2, ..., A^k of a square integer matrix a, lazily: one _int_mul per power after the first."""
+    return accumulate(repeat(a, k), lambda power, _: _int_mul(power, a, len(a)))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -220,9 +222,7 @@ def charpoly(a: Matrix) -> Poly:
     """
     n = len(a)
     d, ai = _integer_scaled(a)
-    powers = [ai]  # A^1, ..., A^h
-    while 2 * len(powers) < n:
-        powers.append(_int_mul(powers[-1], ai, n))
+    powers = list(_int_powers(ai, max((n + 1) // 2, 1)))  # A^1, ..., A^h (A alone at n = 0)
     top = list(chain.from_iterable(powers[-1]))
     sums = [sum([m[i][i] for i in range(n)]) for m in powers]  # p_1, ..., p_h
     sums += [sum(map(mul, top, chain.from_iterable(zip(*m)))) for m in powers[: n - len(powers)]]  # ..., p_n

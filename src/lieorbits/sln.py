@@ -5,9 +5,10 @@ operator in a fixed basis, centralizer and orbit dimensions, semisimplicity
 and nilpotency tests, the Jordan decomposition, characteristic-polynomial
 invariants, a conjugacy test for rational spectra, and the orbit symplectic
 pairing.  All arithmetic is exact; there is no floating-point mode.  The
-bracket, the Killing form, the Jordan parts and the rank sequences scale
-their inputs to integers once, X = d*x, compute in ints, and build each
-Fraction of a result once.
+bracket, the Killing form, the Jordan parts, the traces of powers and the
+rank sequences scale their inputs to integers once, X = d*x, compute in
+ints, and build each Fraction of a result once.  Powers come from linalg's
+one power sequence, and a rank sequence's from a primitive base.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -257,17 +258,15 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
     """Trace of the k-th power of the adjoint operator of x.
 
     On gl_n, ad(x) = x (x) 1 - 1 (x) x^T and the scalars lie in its kernel, so
-    tr(ad(x)^k) = sum_m (-1)^m C(k,m) tr(x^(k-m)) tr(x^m), with tr(x^0) = n.
+    tr(ad(x)^k) = sum_m (-1)^m C(k,m) tr(x^(k-m)) tr(x^m), with tr(x^0) = n
+    and tr(x^m) = tr(X^m)/d^m on the integer powers of X = d*x.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    a = x.to_matrix()
+    d, a = linalg._integer_scaled(x.entries)
     traces = [Fraction(x.n)]
-    power = a
-    for m in range(1, k + 1):
-        if m > 1:
-            power = linalg.mat_mul(power, a)
-        traces.append(linalg.mat_trace(power))
+    for m, power in enumerate(linalg._int_powers(a, k), start=1):
+        traces.append(Fraction(sum([power[i][i] for i in range(x.n)]), d**m))
     return sum(((-1) ** m * math.comb(k, m) * traces[k - m] * traces[m] for m in range(k + 1)), Fraction(0))
 
 
@@ -287,23 +286,21 @@ def _spectrum(p: Poly) -> dict[Fraction, int]:
 
 
 def _rank_sequence(x: SlnElement, lam: Fraction, mult: int):
-    """Yield rank((x - lam I)^k) for k = 1, ..., mult - 1.
+    """The lazy sequence rank((x - lam I)^k) for k = 1, ..., mult - 1.
 
     With rank n - mult for every power k >= mult, these ranks fix the sizes
     of the Jordan blocks of x at an eigenvalue lam of multiplicity mult: the
     number of blocks of size at least k is rank^(k-1) - rank^k.  The powers
-    are those of the integer matrix D*(x - lam I) = X*(D/d) - (D*lam)I, X =
-    d*x and D = lcm(d, den lam), which have the same ranks.
+    are those of the primitive base D*(x - lam I)/g = (X*(D/d) - (D*lam)I)/g,
+    X = d*x, D = lcm(d, den lam) and g the gcd of its integer entries, which
+    have the same ranks; the k-th power would otherwise carry g^k.
     """
     d, a = linalg._integer_scaled(x.entries)
     big = math.lcm(d, lam.denominator)
     s, c = big // d, lam.numerator * (big // lam.denominator)
     a = [[s * v - c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
-    power = a
-    for k in range(1, mult):
-        if k > 1:
-            power = linalg._int_mul(power, a, x.n)
-        yield linalg.rank(power)
+    g = math.gcd(*chain.from_iterable(a)) or 1  # x = lam I is x = 0, a zero base
+    return map(linalg.rank, linalg._int_powers([[v // g for v in row] for row in a], mult - 1))
 
 
 def same_orbit(x: SlnElement, y: SlnElement) -> bool:

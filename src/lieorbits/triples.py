@@ -147,11 +147,13 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
         return MatrixTriple(x=e, h=e, y=e)
     n = e.n
     d, a = linalg._integer_scaled(e.entries)
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)], a]  # E^k for E = d*e
-    while not linalg.mat_is_zero(powers[-1]):
-        if len(powers) > n:  # e^n is not zero
-            raise ValueError("input must be nilpotent")
-        powers.append(linalg._int_mul(powers[-1], a, n))
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]  # E^k for E = d*e, up to the first zero
+    for power in linalg._int_powers(a, n):
+        powers.append(power)
+        if linalg.mat_is_zero(power):
+            break
+    else:  # e^n is not zero
+        raise ValueError("input must be nilpotent")
     depth = len(powers) - 1  # nilpotency index
     transposed = [list(zip(*m)) for m in powers[:-1]]  # row v times the transpose of E^k is E^k v
     span = linalg._Echelon()

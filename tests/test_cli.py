@@ -5,6 +5,7 @@ import json
 import random
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -513,6 +514,52 @@ def test_matrix_size_limit(capsys, tmp_path):
             code, out = run(capsys, argv)
             assert code == 1
             assert one_json_line(out)["error"] == "matrix n 41 is above the limit of 40"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="an interpreter without the int-string limit")
+def test_results_print_past_the_int_string_limit(capsys, tmp_path):
+    # CPython refuses to convert an int of more than 4,300 digits to or from a string; that bounds the
+    # inputs, but an exact result read from them may be longer and still prints in full
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(97)
+
+    def digits(k):
+        return rng.choice((1, -1)) * rng.randrange(10 ** (k - 1), 10**k)
+
+    # upper triangular, so that phi's characteristic polynomial is the product of t - x_ii in Python ints
+    n = 40
+    rows = [[digits(120) if i <= j else 0 for j in range(n)] for i in range(n)]
+    rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    want = [1]
+    for i in range(n):  # times t - x_ii, lowest degree first
+        want = [-rows[i][i] * a + b for a, b in zip(want + [0], [0] + want)]
+    x = write_matrix(tmp_path, "x.json", n, [[str(v) for v in row] for row in rows])
+    a, b = [[digits(3000), digits(3000)], [digits(3000), 0]], [[digits(3000), digits(3000)], [digits(3000), 0]]
+    a[1][1], b[1][1] = -a[0][0], -b[0][0]
+    ya = write_matrix(tmp_path, "a.json", 2, [[str(v) for v in row] for row in a])
+    yb = write_matrix(tmp_path, "b.json", 2, [[str(v) for v in row] for row in b])
+    code, phi = run(capsys, ["phi", "--matrix", x])
+    assert code == 0
+    code, kill = run(capsys, ["killing", "--matrix", ya, "--other", yb])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    coeffs, value = json.loads(phi)["coeffs"], json.loads(kill)["value"]
+    assert max(map(len, coeffs)) > limit and len(value) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [int(c) for c in coeffs] == want[n - 2 :: -1]
+        assert int(value) == 4 * sum(a[i][j] * b[j][i] for i in range(2) for j in range(2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the inputs stay bounded: 4,301 digits as a string or a JSON integer, and a 5,000-digit --rank
+    over = "1" + "0" * 4300
+    path = tmp_path / "over.json"
+    for entry in (json.dumps(over), over):  # a string and a JSON integer
+        path.write_text(f'{{"n": 2, "entries": [[0, {entry}], [0, 0]]}}')
+        code, out = run(capsys, ["phi", "--matrix", str(path)])
+        assert code == 2 and one_json_line(out)["error"].startswith("malformed matrix JSON")
+    code, out = run(capsys, ["roots", "--type", "A", "--rank", "1" * 5000])
+    assert code == 2 and "--rank" in one_json_line(out)["error"]
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

@@ -6,8 +6,10 @@ by them, equality on the generators settles equality for every invariant
 polynomial.  That reduction is relied on throughout this module.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 import sympy
@@ -162,7 +164,7 @@ def test_killing_normalization_oracle():
         n = rng.randint(2, 4)
         x, y = rand_traceless(rng, n), rand_traceless(rng, n)
         prod = linalg.mat_mul(ad_matrix(x), ad_matrix(y))
-        assert linalg.mat_trace(prod) == killing(x, y)
+        assert sum(prod[i][i] for i in range(len(prod))) == killing(x, y)
 
 
 def test_ad_matrix_examples():
@@ -363,6 +365,48 @@ def test_same_orbit_of_a_40x40_jordan_type_is_bounded():
         assert same_orbit(x, y)
 
 
+def test_rank_sequences_power_primitive_bases(monkeypatch):
+    # D*(x - lam I), D = lcm(d, den lam), can share a factor g that its k-th power would carry as g^k; the
+    # first matrix a rank sequence hands to rank is that base over its content (a higher power may have one)
+    handed = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: handed.append(m) or rank(m))
+    rng = random.Random(83)
+    pairs = []
+    for n in range(5, 13):
+        for _ in range(4):
+            x = rand_jordan_type(rng, n)
+            g, gi = rand_unimodular(rng, n)
+            pairs.append((x, conjugate(g, gi, x)))
+    rng = random.Random(40)  # the pair of test_same_orbit_of_a_40x40_jordan_type_is_bounded
+    x = rand_jordan_type(rng, 40)
+    g, gi = rand_unimodular(rng, 40)
+    pairs.append((x, conjugate(g, gi, x)))
+    bases = 0
+    for x, y in pairs:
+        if x.n < 40:
+            assert same_orbit(x, y)
+        for lam, mult in rational_eigenvalues(x).items():
+            ranks = []
+            for z in (x, y):
+                handed.clear()
+                ranks.append(list(_rank_sequence(z, lam, mult)))
+                assert len(handed) == mult - 1
+                if handed:
+                    assert math.gcd(*chain.from_iterable(handed[0])) == 1, (z, lam)
+                    bases += 1
+            assert ranks[0] == ranks[1]
+            if x.n < 40:  # against the ranks of the Fraction powers of x - lam I
+                shifted = [[v - lam * (i == j) for j, v in enumerate(row)] for i, row in enumerate(x.to_matrix())]
+                power, want = shifted, []
+                for k in range(1, mult):
+                    if k > 1:
+                        power = plain_mul(power, shifted)
+                    want.append(naive_rank(power))
+                assert ranks[0] == want
+    assert bases >= 120
+
+
 def test_jordan_chevalley_of_a_40x40_jordan_type_is_bounded():
     # repeated rational eigenvalues, so the Newton rounds run on degree-40 remainders
     rng = random.Random(40)
@@ -477,7 +521,7 @@ def test_trace_power_against_powers_of_ad():
             x = rand_fraction_traceless(rng, n)
             ad = ad_matrix(x)
             power = ad
-            for k in range(1, 5):
+            for k in range(1, 2 * n + 2):  # past k = n, where the integer powers of d*x carry d^k
                 if k > 1:
                     power = plain_mul(power, ad)
                 assert trace_power(x, k) == sum((power[i][i] for i in range(len(ad))), Fraction(0))
@@ -657,6 +701,7 @@ def test_same_orbit_examples():
     assert same_orbit(E(3, 1, 2), E(3, 1, 3))
     assert not same_orbit(X, H)
     assert not same_orbit(E(3, 1, 2), SlnElement.zero(3))
+    assert same_orbit(SlnElement.zero(3), SlnElement.zero(3))  # x = lam I: a zero base of content 0
     with pytest.raises(IrrationalSpectrumError):
         same_orbit(SlnElement.from_rows([[0, 2], [1, 0]]), H)
 
