@@ -127,21 +127,11 @@ def _parse_subset(text: str | None) -> frozenset[int]:
     return frozenset(subset)
 
 
-def _text(v) -> str:
-    """str(v) in full: CPython's int-string limit (since 3.11 and 3.10.7) bounds the inputs, never a result."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit to lift
-    if not limit:
-        return str(v)
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def matrix_to_json(x: sln.SlnElement) -> dict:
     """Matrix JSON with rationals rendered as exact strings."""
-    return {"n": x.n, "entries": [[_text(v) for v in row] for row in x.entries]}
+    from . import sln
+
+    return {"n": x.n, "entries": [[sln._text(v) for v in row] for row in x.entries]}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -256,7 +246,7 @@ def _cmd_killing(args):
     y = _load_matrix(args.other)
     from . import sln
 
-    return {"value": _text(sln.killing(x, y))}
+    return {"value": sln._text(sln.killing(x, y))}
 
 
 def _cmd_jordan(args):
@@ -274,7 +264,7 @@ def _cmd_phi(args):
     x = _load_matrix(args.matrix)
     from . import sln
 
-    return {"n": x.n, "coeffs": [_text(c) for c in sln.invariants_phi(x)]}
+    return {"n": x.n, "coeffs": [sln._text(c) for c in sln.invariants_phi(x)]}
 
 
 def _cmd_orbit_dim(args):
@@ -294,15 +284,15 @@ def _cmd_same_orbit(args):
 
 
 def _cmd_triple(args):
-    from . import triples
+    from . import sln, triples  # triples loads sln
 
     rs = _root_system(args)
     t = triples.kostant_principal(rs)
     return {
         "type": args.type,
         "rank": args.rank,
-        "h_coroot_coords": [_text(c) for c in t.h.coords],
-        "c": [_text(c) for c in t.c],
+        "h_coroot_coords": [sln._text(c) for c in t.h.coords],
+        "c": [sln._text(c) for c in t.c],
         "verified": True,
     }
 

@@ -5,17 +5,19 @@ lists, lowest degree first, with [] as the zero polynomial.  Nothing here uses
 floats or tolerances, and a float entry raises TypeError.  The kernels run on
 integer scalings d*a, d the lcm of the denominators of a (a polynomial p is
 the one-row matrix [p]), and build Fractions only for their results: mat_mul
-and poly_mul multiply two scalings in ints, and poly_eval_matrix is the
-Fraction view of one integer Horner on d*a, which sln reads in ints.  One
-fraction-free long division, _int_divmod, serves poly_divmod,
-poly_compose_mod, the Smith form, and the remainder sequences of the one
-integer gcd and of the Sturm chain, which divide out each content.  One
-fraction-free Gauss-Jordan elimination, fed one integer row at a time, is the
-only one: rank counts the rows it keeps, nullspace is the Fraction view of its
-integer kernel, and solve and inverse divide its rows, sorted by pivot, by the
-last pivot.  charpoly solves Newton's identities on the power sums of d*a,
-the first ceil(n/2) of them traces of its powers, which one lazy sequence,
-_int_powers, forms as it does for Jacobson-Morozov and sln.
+and poly_mul multiply two scalings in ints, and charpoly, poly_eval_matrix
+and poly_compose_mod are the Fraction views of integer kernels that sln also
+reads in ints.  One fraction-free long division, _int_divmod, serves
+poly_divmod, composition modulo a polynomial, the Smith form, and the
+remainder sequences of the one integer gcd and of the Sturm chain, which
+divide out each content.  One fraction-free Gauss-Jordan elimination, fed one
+integer row at a time, is the only one: rank counts the rows it keeps,
+nullspace is the Fraction view of its integer kernel, and solve and inverse
+divide its rows, sorted by pivot, by the last pivot.  _int_charpoly solves
+Newton's identities on the power sums of d*a, the first ceil(n/2) of them
+traces of its powers, which one lazy sequence, _int_powers, forms as it does
+for Jacobson-Morozov and sln; Paterson-Stockmeyer evaluates a polynomial at
+d*a on such a table of powers, charpoly's own in the Jordan decomposition.
 invariant_factors takes the Smith form in Z[t] of the relations of a Krylov
 basis of d*a, grown with the same elimination; rational_roots bisects a
 monic integer transform with a Sturm chain from Fujiwara's bound.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat, zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 Matrix = list[list[Fraction]]
@@ -211,18 +213,22 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def charpoly(a: Matrix) -> Poly:
-    """Coefficients of det(lambda*I - a), lowest degree first, monic.
+    """det(lambda*I - a), lowest degree first, monic: coefficient k is that of _int_charpoly(d*a) over d^(n-k)."""
+    d, ai = _integer_scaled(a)
+    return [Fraction(c, d ** (len(a) - k)) for k, c in enumerate(_int_charpoly(ai)[0])]
 
-    Newton's identities on the integer matrix A = d*a, d the lcm of the
-    denominators of a: with p_k = tr(A^k), k*c_k = -(p_k + sum_(0<m<k) c_m
-    p_(k-m)), and every division is exact.  Only A, ..., A^h, h = ceil(n/2),
-    are formed: p_k for k <= h is a trace, and p_(h+j) = tr(A^h A^j) the dot
-    product of A^h with the transpose of A^j, entry by entry.  Coefficient k
-    of A's polynomial is d^k times that of a.
+
+def _int_charpoly(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
+    """(P, [A, ..., A^h]): det(t*I - A) = sum_k P_k t^k of a square integer matrix A, and the powers formed.
+
+    Newton's identities: with p_k = tr(A^k) and c_k = P_(n-k), k*c_k =
+    -(p_k + sum_(0<m<k) c_m p_(k-m)), and every division is exact.  Only A,
+    ..., A^h, h = ceil(n/2), are formed: p_k for k <= h is a trace, and
+    p_(h+j) = tr(A^h A^j) the dot product of A^h with the transpose of A^j,
+    entry by entry.
     """
     n = len(a)
-    d, ai = _integer_scaled(a)
-    powers = list(_int_powers(ai, max((n + 1) // 2, 1)))  # A^1, ..., A^h (A alone at n = 0)
+    powers = list(_int_powers(a, max((n + 1) // 2, 1)))  # A^1, ..., A^h (A alone at n = 0)
     top = list(chain.from_iterable(powers[-1]))
     sums = [sum([m[i][i] for i in range(n)]) for m in powers]  # p_1, ..., p_h
     sums += [sum(map(mul, top, chain.from_iterable(zip(*m)))) for m in powers[: n - len(powers)]]  # ..., p_n
@@ -232,7 +238,7 @@ def charpoly(a: Matrix) -> Poly:
         if rem:
             raise RuntimeError(f"Newton's identity {k} left remainder {rem} on an integer matrix")
         coeffs.append(c)
-    return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
+    return coeffs[::-1], powers
 
 
 def invariant_factors(a: Matrix) -> list[Poly]:
@@ -279,7 +285,7 @@ def invariant_factors(a: Matrix) -> list[Poly]:
         rel[j].append(v[n + j])
         relations.append([poly_trim(p) for p in rel])
     factors = [f for f in _smith_diagonal(relations) if len(f) > 1]
-    if sum(len(f) - 1 for f in factors) != n or reduce(_int_poly_mul, factors, [1]) != charpoly(ai):
+    if sum(len(f) - 1 for f in factors) != n or reduce(_int_poly_mul, factors, [1]) != _int_charpoly(ai)[0]:
         raise RuntimeError("invariant factors disagree with the characteristic polynomial")
     return [[Fraction(c, d ** (len(f) - 1 - i)) for i, c in enumerate(f)] for f in factors]
 
@@ -468,46 +474,65 @@ def poly_eval(p: Poly, x):
 
 
 def poly_eval_matrix(p: Poly, a: Matrix) -> Matrix:
-    """p(a), the Fraction view of _int_poly_eval_matrix on A = d*a."""
-    den, out = _int_poly_eval_matrix(p, *_integer_scaled(a))
+    """p(a), the Fraction view of _int_poly_eval_matrix on A = d*a and its table A, ..., A^s, s = isqrt(deg p + 1).
+
+    That is s - 1 + floor(deg p / s) products, about 2 sqrt(deg p), where Horner makes deg p.
+    """
+    d, ai = _integer_scaled(a)
+    dp, (pi,) = _integer_scaled([p])
+    scale, out = _int_poly_eval_matrix(pi, d, list(_int_powers(ai, max(isqrt(len(pi)), 1))))
+    den = dp * scale
     zero = Fraction(0)
     return [[Fraction(x, den) if x else zero for x in row] for row in out]
 
 
-def _int_poly_eval_matrix(p: Poly, d: int, a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(den, S) with p(a/d) = S/den, by Horner on the integer matrix a: with P = d_p*p, S = sum_k P_k d^(m-k) a^k."""
-    n = len(a)
-    dp, (pi,) = _integer_scaled([p])
+def _int_poly_eval_matrix(p: list[int], d: int, powers: list[list[list[int]]]) -> tuple[int, list[list[int]]]:
+    """(d^m, S) with S = sum_k p_k d^(m-k) A^k = d^m p(A/d), m = deg p, from the table powers = [A, ..., A^s].
+
+    Paterson and Stockmeyer (SIAM J. Comput. 2, 1973): p(t) = sum_j B_j(t) t^(js)
+    with deg B_j < s, each B_j(A) a weighted sum of the table, and Horner in
+    A^s: floor(m/s) products, at most one on charpoly's table for m < n.
+    """
+    n, s, m = len(powers[0]), len(powers), len(p) - 1
+    w = [c * d ** (m - k) for k, c in enumerate(p)]
     out = [[0] * n for _ in range(n)]
-    scale = 1  # d^(m-k) at coefficient k
-    for k, c in enumerate(reversed(pi)):
-        if k:
-            out = _int_mul(out, a, n)
-            scale *= d
-        c *= scale
+    top = m // s
+    for j in range(top, -1, -1):  # none for p = 0
+        if j < top:
+            out = _int_mul(out, powers[-1], n)
+        block = w[j * s : (j + 1) * s]
+        for c, power in zip(block[1:], powers):
+            if c:
+                out = [[x + c * y for x, y in zip(row, pw)] for row, pw in zip(out, power)]
         for i in range(n):
-            out[i][i] += c
-    return dp * scale, out
+            out[i][i] += block[0]
+    return d ** max(m, 0), out
 
 
 def poly_compose_mod(p: Poly, s: Poly, m: Poly) -> Poly:
-    """p(s) reduced modulo m, by Horner on P = d_p*p and S = d_s*s with the value kept as (ints R, denominator e).
-
-    A step reduces R*S + c*e*d_s, over e*d_s, modulo the scaling of m, and
-    cancels the gcd of the denominator and the remainder; the result is R/(e*d_p).
-    """
+    """p(s) reduced modulo m: the Fraction view of _int_compose_mod on the integer scalings of p, s and m."""
     dp, (pi,) = _integer_scaled([p])
     ds, (si,) = _integer_scaled([poly_trim(s)])
-    mi = _integer_scaled([poly_trim(m)])[1][0]
+    e, out = _int_compose_mod(pi, dp, si, ds, _integer_scaled([poly_trim(m)])[1][0])
+    return [Fraction(x, e) for x in out]
+
+
+def _int_compose_mod(p: list[int], dp: int, s: list[int], ds: int, m: list[int]) -> tuple[int, list[int]]:
+    """(e, R), e > 0 and gcd(e, R) = 1, with (p/dp)(s/ds) = R/e modulo m, by Horner on the value R/e.
+
+    A step reduces R*s + c*e*ds, over e*ds, modulo m, and cancels the gcd of
+    the denominator and the remainder.
+    """
     out, e = [], 1
-    for c in reversed(pi):
-        step = _int_poly_mul(out, si) if out and si else [0]
+    for c in reversed(p):
+        step = _int_poly_mul(out, s) if out and s else [0]
         step[0] += c * e * ds
-        t, _, r = _int_divmod(poly_trim(step), mi)
+        t, _, r = _int_divmod(poly_trim(step), m)
         e *= ds * t
         g = gcd(e, *r)
         out, e = [x // g for x in r], e // g
-    return [Fraction(x, e * dp) for x in out]
+    g = gcd(e * dp, *out)
+    return e * dp // g, [x // g for x in out]
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:

@@ -7,8 +7,9 @@ invariants, a conjugacy test for rational spectra, and the orbit symplectic
 pairing.  All arithmetic is exact; there is no floating-point mode.  The
 bracket, the Killing form, the Jordan parts, the traces of powers and the
 rank sequences scale their inputs to integers once, X = d*x, compute in
-ints, and build each Fraction of a result once.  Powers come from linalg's
-one power sequence, and a rank sequence's from a primitive base.
+ints, and build each Fraction of a result once, its trace checked in ints.
+Powers come from linalg's one power sequence, and a rank sequence's from a
+primitive base; the Jordan parts reuse those of the characteristic polynomial.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -25,6 +26,7 @@ of ad(x) a closed form in the traces of powers of x.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
@@ -53,7 +55,7 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
             raise ValueError(f"entries must form an {n}x{n} matrix")
         tr = sum((entries[i][i] for i in range(n)), Fraction(0))
         if tr != 0:
-            raise ValueError(f"trace must be zero, got {tr}")
+            raise ValueError(f"trace must be zero, got {_text(tr)}")
         return tuple.__new__(cls, (n, entries))
 
     @classmethod
@@ -88,6 +90,18 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
         return SlnElement.from_rows(linalg.mat_scale(self.to_matrix(), -1))
 
 
+def _text(v) -> str:
+    """str(v) in full: CPython's int-string limit (since 3.11 and 3.10.7) bounds inputs, not results or messages."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit to lift
+    if not limit:
+        return str(v)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class JordanPair(namedtuple("JordanPair", "semisimple_part nilpotent_part semisimple_witness nilpotent_witness")):
     """Semisimple plus nilpotent split of an element, with polynomial witnesses.
 
@@ -104,9 +118,15 @@ def _same_n(x: SlnElement, y: SlnElement):
 
 
 def _from_ints(m: list[list[int]], den: int) -> SlnElement:
-    """The element m/den of a square integer matrix m, den > 0: one Fraction per nonzero entry."""
+    """The element m/den of a square integer matrix m, den > 0: one Fraction per nonzero entry.
+
+    Its callers form traceless results, so a nonzero trace, checked in ints, is a bug: RuntimeError.
+    """
+    if sum([row[i] for i, row in enumerate(m)]):
+        raise RuntimeError("an integer result has a nonzero trace; this is a bug")
     zero = Fraction(0)
-    return SlnElement(len(m), tuple([tuple([Fraction(v, den) if v else zero for v in row]) for row in m]))
+    entries = tuple([tuple([Fraction(v, den) if v else zero for v in row]) for row in m])
+    return tuple.__new__(SlnElement, (len(m), entries))
 
 
 def coords_in_basis(m: Matrix) -> list[Fraction]:
@@ -188,8 +208,8 @@ def orbit_dim(x: SlnElement) -> int:
 
 
 def is_nilpotent(x: SlnElement) -> bool:
-    """Nilpotent iff the characteristic polynomial is t^n."""
-    return not any(linalg.charpoly(x.to_matrix())[:-1])
+    """Nilpotent iff the characteristic polynomial is t^n, as that of X = d*x is, in ints."""
+    return not any(linalg._int_charpoly(linalg._integer_scaled(x.entries)[1])[0][:-1])
 
 
 def is_semisimple(x: SlnElement) -> bool:
@@ -207,37 +227,42 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     polynomial t, iterate s -> N(s) for the Newton map N(t) = t - q(t)*u(t),
     u the inverse of q' modulo q.  u(s) is a unit modulo p, so s stops
     changing exactly when q(s) = 0, which ceil(log2 n) + 1 rounds reach as
-    q(x) is nilpotent; no round runs when p is squarefree (q = p).
-    Horner on X = d*x in ints gives the semisimple part S/den, and the
-    nilpotent part is (X*(L/d) - S*(L/den))/L, L = lcm(d, den): den need not
-    be a multiple of d (sigma = 0 and den = 1 when x is nilpotent).
+    q(x) is nilpotent; the rounds compose in ints.  No round runs when p is
+    squarefree (q = p, s = t) or q = t (x is nilpotent, s = 0).  Paterson-
+    Stockmeyer on the powers of X = d*x that charpoly formed gives the
+    semisimple part S/den in at most one product, and the nilpotent part is
+    (X*(L/d) - S*(L/den))/L, L = lcm(d, den): den need not be a multiple of d.
     """
-    a = x.to_matrix()
     n = x.n
-    p = linalg.charpoly(a)
+    d, a = linalg._integer_scaled(x.entries)
+    coeffs, powers = linalg._int_charpoly(a)
+    p = [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
     q = linalg.squarefree_part(p)
     t: Poly = [Fraction(0), Fraction(1)]
-    sigma = t
-    if len(q) < len(p):  # a repeated root
+    den, s = 1, [0, 1]  # sigma = s/den
+    if len(q) == 2 < len(p):  # q = t: the one Newton round would give s = 0
+        s = []
+    elif len(q) < len(p):  # a repeated root
         _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
-        newton = linalg.poly_sub(t, linalg.poly_mul(q, u))
+        dn, (newton,) = linalg._integer_scaled([linalg.poly_sub(t, linalg.poly_mul(q, u))])
+        m = linalg._integer_scaled([p])[1][0]
         for _ in range((n - 1).bit_length() + 1):  # ceil(log2 n) + 1
-            step = linalg.poly_compose_mod(newton, sigma, p)
-            if step == sigma:
+            step = linalg._int_compose_mod(newton, dn, s, den, m)
+            if step == (den, s):
                 break
-            sigma = step
+            den, s = step
+    sigma = [Fraction(c, den) for c in s]
     if linalg.poly_compose_mod(q, sigma, p):
         raise RuntimeError("Newton iteration failed to converge; this is a bug")
-    d, ai = linalg._integer_scaled(x.entries)
-    den, s = linalg._int_poly_eval_matrix(sigma, d, ai)
-    m = math.lcm(d, den)
-    xn = [[m // d * u - m // den * v for u, v in zip(r, w)] for r, w in zip(ai, s)]
-    tau = linalg.poly_sub(t, sigma)
+    scale, xs = linalg._int_poly_eval_matrix(s, d, powers)
+    den *= scale
+    lcm = math.lcm(d, den)
+    xn = [[lcm // d * u - lcm // den * v for u, v in zip(r, w)] for r, w in zip(a, xs)]
     return JordanPair(
-        semisimple_part=_from_ints(s, den),
-        nilpotent_part=_from_ints(xn, m),
+        semisimple_part=_from_ints(xs, den),
+        nilpotent_part=_from_ints(xn, lcm),
         semisimple_witness=tuple(sigma),
-        nilpotent_witness=tuple(tau),
+        nilpotent_witness=tuple(linalg.poly_sub(t, sigma)),
     )
 
 

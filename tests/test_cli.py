@@ -108,7 +108,7 @@ def test_self_check_failure_exits_3(capsys, monkeypatch, h2):
 
 def test_invariant_factor_check_exits_3(capsys, monkeypatch, x2):
     # a characteristic polynomial that disagrees with the Krylov factors
-    monkeypatch.setattr(linalg, "charpoly", lambda a: [Fraction(1)] * (len(a) + 1))
+    monkeypatch.setattr(linalg, "_int_charpoly", lambda a: ([1] * (len(a) + 1), []))
     code, out = run(capsys, ["orbit-dim", "--matrix", x2])
     assert code == 3
     error = one_json_line(out)["error"]
@@ -125,13 +125,32 @@ def test_triple_bracket_check_exits_3(capsys, monkeypatch, x2):
     assert "lieorbits.triples.jacobson_morozov_sln" in error and "violated the bracket relations" in error
 
 
-def test_newton_convergence_check_exits_3(capsys, monkeypatch, x2):
-    # an inverse of q' that is 0 makes the Newton map the identity, so q(s) never vanishes
+def test_newton_convergence_check_exits_3(capsys, monkeypatch, tmp_path):
+    # an inverse of q' that is 0 makes the Newton map the identity, so q(s) never vanishes; the rounds
+    # run only for two or more distinct eigenvalues (q = t needs none)
+    mixed = write_matrix(tmp_path, "m.json", 3, [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]])
     monkeypatch.setattr(linalg, "poly_xgcd", lambda p, q: ([Fraction(1)], [], []))
-    code, out = run(capsys, ["jordan", "--matrix", x2])
+    code, out = run(capsys, ["jordan", "--matrix", mixed])
     assert code == 3
     error = one_json_line(out)["error"]
     assert "lieorbits.sln.jordan_chevalley" in error and "failed to converge" in error
+
+
+def test_integer_result_trace_check_exits_3(capsys, monkeypatch, tmp_path):
+    # a semisimple part with a nonzero trace is a bug found when the result is built from ints
+    mixed = write_matrix(tmp_path, "m.json", 3, [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]])
+    evaluate = linalg._int_poly_eval_matrix
+
+    def corrupted(*args):
+        scale, out = evaluate(*args)
+        out[0][0] += 1
+        return scale, out
+
+    monkeypatch.setattr(linalg, "_int_poly_eval_matrix", corrupted)
+    code, out = run(capsys, ["jordan", "--matrix", mixed])
+    assert code == 3
+    error = one_json_line(out)["error"]
+    assert "lieorbits.sln._from_ints" in error and "nonzero trace" in error
 
 
 def test_w0(capsys):
@@ -560,6 +579,24 @@ def test_results_print_past_the_int_string_limit(capsys, tmp_path):
         assert code == 2 and one_json_line(out)["error"].startswith("malformed matrix JSON")
     code, out = run(capsys, ["roots", "--type", "A", "--rank", "1" * 5000])
     assert code == 2 and "--rank" in one_json_line(out)["error"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="an interpreter without the int-string limit")
+def test_trace_error_prints_past_the_int_string_limit(capsys, tmp_path):
+    # two diagonal entries inside the input limit whose denominators multiply past it: the trace error
+    # names the trace in full instead of CPython's int-string message, and the limit is restored
+    limit = sys.get_int_max_str_digits()
+    path = write_matrix(tmp_path, "t.json", 2, [["1/" + "7" * 4300, "0"], ["0", "1/" + "3" * 4299 + "1"]])
+    code, out = run(capsys, ["phi", "--matrix", path])
+    assert sys.get_int_max_str_digits() == limit
+    error = one_json_line(out)["error"]
+    assert code == 2 and "trace must be zero, got " in error and "int_max_str_digits" not in error
+    sys.set_int_max_str_digits(0)
+    try:
+        trace = Fraction(1, int("7" * 4300)) + Fraction(1, int("3" * 4299 + "1"))
+        assert error.endswith(f"trace must be zero, got {trace}") and len(str(trace.denominator)) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

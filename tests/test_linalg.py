@@ -284,6 +284,38 @@ def test_charpoly_forms_only_the_powers_up_to_half(monkeypatch):
         assert p == charpoly_by_minors(m)
 
 
+def test_paterson_stockmeyer_against_plain_horner(monkeypatch):
+    # poly_eval_matrix on its own table A, ..., A^s, s = isqrt(m + 1), and _int_poly_eval_matrix on
+    # charpoly's table A, ..., A^ceil(n/2) and on tables of other lengths, against plain Horner: the zero
+    # polynomial (the nilpotent witness), constants, m = 1, degrees at and around perfect squares, and
+    # denominators in the matrix (d > 1) and in the coefficients; floor(m/s) products on a table of s
+    int_mul = linalg._int_mul
+    calls = []
+    monkeypatch.setattr(linalg, "_int_mul", lambda *args: calls.append(args) or int_mul(*args))
+    rng = random.Random(27)
+    scaled = 0
+    for m in (-1, 0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 24, 25, 35, 36, 48, 49, 59, 60):
+        for dens in ((1,), (1, 2, 3)):
+            n = rng.randint(1, 5)
+            a = [[Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)] for _ in range(n)]
+            p = [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(m)]
+            p += [Fraction(rng.choice((1, -2, 3)), rng.choice(dens))] if m >= 0 else []
+            want = plain_poly_eval_matrix(p, a)
+            calls.clear()
+            assert linalg.poly_eval_matrix(p, a) == want
+            s = max(math.isqrt(m + 1), 1)
+            assert len(calls) == s - 1 + max(m, 0) // s
+            d, ai = linalg._integer_scaled(a)
+            dp, (pi,) = linalg._integer_scaled([p])
+            scaled += d > 1
+            for table in (linalg._int_charpoly(ai)[1], list(linalg._int_powers(ai, rng.randint(1, 9)))):
+                calls.clear()
+                scale, out = linalg._int_poly_eval_matrix(pi, d, table)
+                assert len(calls) == max(m, 0) // len(table)
+                assert [[Fraction(v, dp * scale) for v in row] for row in out] == want
+    assert scaled >= 10
+
+
 def test_charpoly_beyond_five_against_sympy():
     # Newton's identities form only A, ..., A^h with h = ceil(n/2): both
     # parities of n, with integer entries and with denominators 2 and 3

@@ -283,16 +283,16 @@ def test_jordan_chevalley_examples():
 def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
     cyclic = SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # charpoly t^3 - 1, squarefree
     mixed = SlnElement.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -2]])  # charpoly (t - 1)^2 (t + 2)
-    compose = linalg.poly_compose_mod
+    compose = linalg._int_compose_mod
     calls = []
 
     def counted(*args):
         calls.append(args)
         return compose(*args)
 
-    monkeypatch.setattr(linalg, "poly_compose_mod", counted)
-    # one composition per Newton round, and one more for the convergence check
-    for x, rounds in ((cyclic, 0), (X, 2), (mixed, 2)):
+    monkeypatch.setattr(linalg, "_int_compose_mod", counted)
+    # one integer composition per Newton round, and one more for the convergence check; X has q = t
+    for x, rounds in ((cyclic, 0), (X, 0), (mixed, 2)):
         calls.clear()
         jordan_chevalley(x)
         assert len(calls) == rounds + 1
@@ -305,7 +305,37 @@ def test_jordan_chevalley_skips_the_xgcd_when_squarefree(monkeypatch):
     assert jordan_chevalley(cyclic) == expected
     assert expected.semisimple_part == cyclic and expected.nilpotent_part.is_zero()
     with pytest.raises(AssertionError, match="poly_xgcd called"):
-        jordan_chevalley(X)  # charpoly t^2: the Newton map needs the inverse of q'
+        jordan_chevalley(mixed)  # q = (t - 1)(t + 2): the Newton map needs the inverse of q'
+
+
+def test_jordan_chevalley_of_a_nilpotent_needs_no_newton_round(monkeypatch):
+    # q = t, so sigma = 0 in closed form: no inverse of q' and no round; n = 1 has p = t squarefree
+    def refuse(*args):
+        raise AssertionError("poly_xgcd called")
+
+    monkeypatch.setattr(linalg, "poly_xgcd", refuse)
+    rng = random.Random(27)
+    cases = [X, SlnElement.zero(2), SlnElement.zero(5)] + [rand_nilpotent(rng, n) for n in range(2, 13)]
+    for x in cases:
+        jp = jordan_chevalley(x)
+        assert jp.semisimple_part == SlnElement.zero(x.n) and jp.nilpotent_part == x
+        assert jp.semisimple_witness == () and jp.nilpotent_witness == (0, 1)
+        assert all(type(c) is Fraction for c in jp.nilpotent_witness)
+
+
+def test_jordan_chevalley_makes_at_most_one_product_past_charpoly(monkeypatch):
+    # charpoly forms A^2, ..., A^h, h = ceil(n/2), and the witness sigma, of degree m < 2h, is evaluated
+    # as B_0 + B_1 A^h on that table: one product more where Horner made m
+    x = rand_jordan_type(random.Random(40), 40)
+    int_mul = linalg._int_mul
+    calls = []
+    monkeypatch.setattr(linalg, "_int_mul", lambda *args: calls.append(args) or int_mul(*args))
+    jp = jordan_chevalley(x)
+    h, m = 20, len(jp.semisimple_witness) - 1
+    assert m == 39 and len(calls) == (h - 1) + 1
+    calls.clear()
+    jordan_chevalley(rand_traceless(random.Random(40), 9))  # p squarefree, sigma = t: no product past charpoly
+    assert len(calls) == 5 - 1
 
 
 def test_jordan_chevalley_witness_is_the_two_composition_round():

@@ -140,10 +140,13 @@ def test_no_stranded_private_functions():
 
 def test_integer_kernels_never_name_fraction():
     # the remainder sequences, the Smith form, the Sturm chain, the integer matrix product and its powers,
-    # Horner on an integer matrix and the sl2-triple relations run in ints and build no Fraction; a
+    # the characteristic polynomial, composition modulo a polynomial, Paterson-Stockmeyer on an integer
+    # matrix and the sl2-triple relations run in ints and build no Fraction; a
     # Fraction brought back into one of them would normalize a gcd at every step
     kernels = {
         "linalg.py": {
+            "_int_charpoly",
+            "_int_compose_mod",
             "_int_divmod",
             "_int_poly_mul",
             "_int_gcd",
