@@ -20,6 +20,8 @@ reads a separate "-1/2,0" as a flag.  A matrix file is
 or denominator of more than 4,300 digits (CPython's int-string limit) exits
 2 like any number outside the grammar; a result prints in full, however
 many digits it has.
+
+A call builds only the subparser its first argument names, or all sixteen.
 """
 
 from __future__ import annotations
@@ -386,69 +388,77 @@ def _add_type_rank(p: argparse.ArgumentParser):
     p.add_argument("--rank", required=True, type=integer, help=f"rank of the root system (at most {MAX_RANK})")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lieorbits", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, matrices=()):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        for flag in matrices:
+def _matrices(*flags: str):
+    def add(p: argparse.ArgumentParser):
+        for flag in flags:
             p.add_argument(flag, required=True, help=f"matrix JSON file (n at most {MAX_N})")
-        return p
+    return add
 
-    p = add("roots", _cmd_roots, "emit the full root system as JSON")
+
+def _add_roots(p: argparse.ArgumentParser):
     _add_type_rank(p)
     p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
-    p = add("maxroot", _cmd_maxroot, "the maximal root")
-    _add_type_rank(p)
 
-    p = add("parabolic", _cmd_parabolic, "root data of a standard parabolic")
+def _add_parabolic(p: argparse.ArgumentParser):
     _add_type_rank(p)
     p.add_argument("--subset", default=None, help='simple-root indices like "1,3"; empty for the Borel')
 
-    p = add("w0", _cmd_w0, "reduced word for the longest Weyl element")
-    _add_type_rank(p)
 
-    add("killing", _cmd_killing, "Killing form of two matrices", ("--matrix", "--other"))
-    add("jordan", _cmd_jordan, "Jordan decomposition of a matrix", ("--matrix",))
-    add("phi", _cmd_phi, "adjoint-quotient invariants (characteristic coefficients)", ("--matrix",))
-    add("orbit-dim", _cmd_orbit_dim, "orbit and centralizer dimensions", ("--matrix",))
-    add("same-orbit", _cmd_same_orbit, "conjugacy test for rational spectra", ("--matrix", "--other"))
-
-    p = add("triple", _cmd_triple, "principal sl2-triple data for a Cartan type")
-    _add_type_rank(p)
-
-    add("jm", _cmd_jm, "complete a nilpotent matrix to an sl2-triple", ("--matrix",))
-
-    p = add("poset", _cmd_poset, "nilpotent orbit poset for traceless n x n matrices")
+def _add_poset(p: argparse.ArgumentParser):
     p.add_argument("--n", required=True, type=integer, help=f"matrix size (at most {MAX_N})")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--json", action="store_true", help="JSON output (the default)")
     grp.add_argument("--dot", action="store_true", help="DOT output")
 
-    p = add("closure", _cmd_closure, "closure comparison of two orbit partitions")
+
+def _add_closure(p: argparse.ArgumentParser):
     p.add_argument("--n", required=True, type=integer, help=f"matrix size (at most {MAX_N})")
     p.add_argument("--lower", required=True, help='partition like "2,2,2"')
     p.add_argument("--upper", required=True, help='partition like "3,1,1,1"')
 
-    p = add("ssorbit", _cmd_ssorbit, "semisimple orbit data for a torus element")
-    _add_type_rank(p)
-    p.add_argument(
-        "--h",
-        required=True,
-        help='coordinates over the simple coroots, like "1,0" or "1+1/2 i,2"; write --h=-1/2,0 for a leading "-"',
-    )
 
-    p = add("poincare", _cmd_poincare, "principal sl2 summand dimensions and their product polynomial")
+def _add_ssorbit(p: argparse.ArgumentParser):
+    _add_type_rank(p)
+    text = 'coordinates over the simple coroots, like "1,0" or "1+1/2 i,2"; write --h=-1/2,0 for a leading "-"'
+    p.add_argument("--h", required=True, help=text)
+
+
+def _add_poincare(p: argparse.ArgumentParser):
     _add_type_rank(p)
     p.add_argument("--latex", action="store_true", help="print the factored product instead of JSON")
 
-    p = add("minorbit", _cmd_minorbit, "minimal nilpotent orbit report")
-    _add_type_rank(p)
 
+# name -> (handler, help line, the function that adds the arguments after --out), in --help order
+_COMMANDS = {
+    "roots": (_cmd_roots, "emit the full root system as JSON", _add_roots),
+    "maxroot": (_cmd_maxroot, "the maximal root", _add_type_rank),
+    "parabolic": (_cmd_parabolic, "root data of a standard parabolic", _add_parabolic),
+    "w0": (_cmd_w0, "reduced word for the longest Weyl element", _add_type_rank),
+    "killing": (_cmd_killing, "Killing form of two matrices", _matrices("--matrix", "--other")),
+    "jordan": (_cmd_jordan, "Jordan decomposition of a matrix", _matrices("--matrix")),
+    "phi": (_cmd_phi, "adjoint-quotient invariants (characteristic coefficients)", _matrices("--matrix")),
+    "orbit-dim": (_cmd_orbit_dim, "orbit and centralizer dimensions", _matrices("--matrix")),
+    "same-orbit": (_cmd_same_orbit, "conjugacy test for rational spectra", _matrices("--matrix", "--other")),
+    "triple": (_cmd_triple, "principal sl2-triple data for a Cartan type", _add_type_rank),
+    "jm": (_cmd_jm, "complete a nilpotent matrix to an sl2-triple", _matrices("--matrix")),
+    "poset": (_cmd_poset, "nilpotent orbit poset for traceless n x n matrices", _add_poset),
+    "closure": (_cmd_closure, "closure comparison of two orbit partitions", _add_closure),
+    "ssorbit": (_cmd_ssorbit, "semisimple orbit data for a torus element", _add_ssorbit),
+    "poincare": (_cmd_poincare, "principal sl2 summand dimensions and their product polynomial", _add_poincare),
+    "minorbit": (_cmd_minorbit, "minimal nilpotent orbit report", _add_type_rank),
+}
+
+
+def _build_parser(names=_COMMANDS) -> _Parser:
+    # the docstring's last paragraph is about this parser, not for --help
+    parser = _Parser(prog="lieorbits", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, help_text, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        add_arguments(p)
     return parser
 
 
@@ -473,9 +483,13 @@ def _write(payload, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # argv[0] is the command if it names one, and its subparser alone parses argv the same; else all are built
+    # for the help or error.  A future top-level option (ROADMAP item 3's --stats) must keep this rule exact.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = _build_parser().parse_args(argv)
-        _write(args.func(args), args.out)
+        args = _build_parser(names).parse_args(argv)
+        _write(_COMMANDS[args.command][0](args), args.out)
         return 0
     except _UsageError as exc:
         code, error, hint = 2, str(exc), exc.hint

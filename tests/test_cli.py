@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,7 +23,7 @@ from helpers import (
     rand_unimodular,
     time_bound,
 )
-from lieorbits import linalg
+from lieorbits import cli, linalg
 from lieorbits.cli import _parse_torus, main
 from lieorbits.sln import SlnElement
 from lieorbits.ssorbits import GaussianRational
@@ -426,6 +427,99 @@ def test_help_lists_the_limits(capsys):
         with pytest.raises(SystemExit):
             main(argv)
         assert "at most 40" in capsys.readouterr().out
+
+
+NAMES = [
+    "roots", "maxroot", "parabolic", "w0", "killing", "jordan", "phi", "orbit-dim", "same-orbit",
+    "triple", "jm", "poset", "closure", "ssorbit", "poincare", "minorbit",
+]  # fmt: skip
+
+
+def full_build_help(name=None):
+    """The help text of the parser with every subcommand, or of one of its subparsers."""
+    parser = cli._build_parser()
+    if name is None:
+        return parser.format_help()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name].format_help()
+
+
+def help_of(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_and_usage_errors_read_as_in_the_full_build(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one wrap width for both sides of each comparison
+    assert list(cli._COMMANDS) == NAMES
+    for name in NAMES:
+        assert help_of(capsys, [name, "--help"]) == full_build_help(name), name
+    top = full_build_help()
+    assert "{" + ",".join(NAMES) + "}" in top
+    assert help_of(capsys, ["--help"]) == top
+    assert help_of(capsys, ["--help", "roots"]) == top
+    code, out = run(capsys, [])
+    assert code == 2 and one_json_line(out)["error"] == "the following arguments are required: command"
+    for bad in ("bogus", "root"):
+        code, out = run(capsys, [bad])
+        error = one_json_line(out)["error"]
+        assert code == 2 and error.startswith(f"argument command: invalid choice: '{bad}' (choose from ")
+        assert re.findall(r"[\w-]+", error.split("choose from", 1)[1]) == NAMES
+    # a usage error inside a subcommand keeps its message and exit 2
+    code, out = run(capsys, ["roots", "--type", "A"])
+    assert code == 2 and one_json_line(out)["error"] == "the following arguments are required: --rank"
+    code, out = run(capsys, ["roots", "--type", "A", "--rank", "2", "extra"])
+    assert code == 2 and one_json_line(out)["error"] == "unrecognized arguments: extra"
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # [project.scripts] calls main() with no argv
+    argv = ["w0", "--type", "G", "--rank", "2"]
+    code, want = run(capsys, argv)
+    assert code == 0 and json.loads(want)["length"] == 6
+    monkeypatch.setattr(sys, "argv", ["lieorbits", *argv])
+    assert run(capsys, None) == (0, want)
+    monkeypatch.setattr(sys, "argv", ["lieorbits", "--help"])
+    top = help_of(capsys, None)
+    assert all(name in top for name in NAMES)
+
+
+def test_only_a_leading_command_name_narrows_the_build(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+
+    def built(argv, code):
+        added.clear()
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        capsys.readouterr()
+        return list(added)
+
+    assert built(["w0", "--type", "G", "--rank", "2"], 0) == ["w0"]
+    assert built(["jm", "--help"], 0) == ["jm"]
+    assert built(["roots", "--type", "A", "--rank", "2", "extra"], 2) == ["roots"]
+    # a command name anywhere but first never narrows the build
+    assert built(["closure", "--n", "3", "--upper", "3", "--lower", "w0"], 2) == ["closure"]
+    for argv in (["--help"], ["--help", "roots"], ["-h", "w0"]):
+        assert built(argv, 0) == NAMES, argv
+    for argv in ([], ["bogus"], ["root"], ["--", "roots", "--type", "A", "--rank", "2"], ["--out", "o", "w0"]):
+        assert built(argv, 2) == NAMES, argv
+
+
+def test_every_handler_is_in_the_command_table():
+    handlers = {getattr(cli, name) for name in dir(cli) if name.startswith("_cmd_")}
+    assert handlers == {func for func, _, _ in cli._COMMANDS.values()}
+    assert len(handlers) == len(cli._COMMANDS) == 16
 
 
 def _check_contract(argv):
