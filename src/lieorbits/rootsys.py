@@ -1,10 +1,14 @@
 """Abstract root systems for the simple Cartan types A through G.
 
 Roots are integer coefficient vectors over the simple roots.  The positive
-roots are generated height by height through root strings, each carrying its
-pairings with the simple coroots; the negative roots are their negatives.
-Simple-root indices are 1-based throughout the public API (Bourbaki
-numbering, with the branch node of E-types numbered 2).
+roots are generated height by height through root strings.  Each carries its
+pairings p_i with the simple coroots and its string depths r_i, and beta +
+alpha_i is a root iff r_i > p_i: the alpha_i-string through beta runs from
+beta - r_i alpha_i to beta + (r_i - p_i) alpha_i (Humphreys, Introduction to
+Lie Algebras, 9.4; Bourbaki, Lie VI 1.3).  The negative roots are their
+negatives.  Built roots skip the checks that Root(...) makes on every vector
+a caller gives.  Simple-root indices are 1-based throughout the public API
+(Bourbaki numbering, with the branch node of E-types numbered 2).
 
 The Weyl group acts through the Cartan matrix alone.  One integer chamber
 walk gives the longest element together with the diagram involution -w0 (it
@@ -47,6 +51,8 @@ class CartanType(namedtuple("CartanType", "family rank")):
     def __new__(cls, family: str, rank: int):
         if family not in _RANK_CONSTRAINTS:
             raise ValueError(f"unknown Cartan family {family!r}; expected one of A-G")
+        if type(rank) is not int:  # bool too: True would print as ATrue and build A1
+            raise TypeError(f"rank {rank!r} is a {type(rank).__name__}; give an int")
         lo, hi = _RANK_CONSTRAINTS[family]
         if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else (f"= {lo}" if lo == hi else f"in {{{lo}..{hi}}}")
@@ -80,7 +86,12 @@ class Root(namedtuple("Root", "coeffs")):
         return self.height > 0
 
     def __neg__(self) -> "Root":
-        return Root(tuple([-c for c in self.coeffs]))
+        return _root(tuple([-c for c in self.coeffs]))
+
+
+def _root(coeffs: Coeffs) -> Root:
+    """A Root without the checks of Root(...), for vectors that are roots by construction."""
+    return tuple.__new__(Root, (coeffs,))
 
 
 class RootSystem(namedtuple("RootSystem", "ctype cartan_matrix roots positive_roots")):
@@ -178,29 +189,28 @@ def _reflect_coeffs(cartan, i0: int, v):
 def build_root_system(ctype: CartanType) -> RootSystem:
     """Generate the positive roots height by height, then the negatives.
 
-    Each root carries its pairings with the simple coroots: alpha_i starts with
-    row i of the Cartan matrix, and adding alpha_i adds row i.  Root strings are
-    unbroken (Humphreys, Introduction to Lie Algebras, 9.4), so beta + alpha_i
-    is a root iff beta - k alpha_i is one for k = 1..<beta, alpha_i^vee> + 1.
+    Each root beta carries its pairings p_i = <beta, alpha_i^vee> and string
+    depths r_i, the largest k with beta - k alpha_i a root.  The alpha_i-string
+    through beta ends at beta + (r_i - p_i) alpha_i (Humphreys 9.4; Bourbaki,
+    Lie VI 1.3), so beta + alpha_i is a root iff r_i > p_i.  It adds row i of
+    the Cartan matrix to p and has depth r_i + 1 at i, 0 where no parent sets one.
     """
     n = ctype.rank
     cartan = _cartan_matrix(ctype)
-    level = {tuple([int(j == i) for j in range(n)]): cartan[i] for i in range(n)}
-    found: set[Coeffs] = set()
+    level = {tuple([int(j == i) for j in range(n)]): (cartan[i], [0] * n) for i in range(n)}
     positive: list[Root] = []
     while level:
         ordered = sorted(level)
-        found.update(ordered)
-        positive += [Root(c) for c in ordered]
-        nxt: dict[Coeffs, Coeffs] = {}
+        positive += [_root(c) for c in ordered]
+        nxt: dict[Coeffs, tuple[Coeffs, list[int]]] = {}
         for beta in ordered:
-            pairings = level[beta]
+            pairings, depths = level[beta]
             for i, p in enumerate(pairings):
-                if p >= beta[i]:
-                    continue  # the alpha_i-string below beta has at most beta[i] roots
-                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                if up not in nxt and all(beta[:i] + (beta[i] - k,) + beta[i + 1 :] in found for k in range(1, p + 2)):
-                    nxt[up] = tuple([x + a for x, a in zip(pairings, cartan[i])])
+                if depths[i] > p:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if up not in nxt:
+                        nxt[up] = (tuple([x + a for x, a in zip(pairings, cartan[i])]), [0] * n)
+                    nxt[up][1][i] = depths[i] + 1
         level = nxt
     return RootSystem(
         ctype=ctype,

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import longest_word_by_rho, roots_by_reflection_closure, symmetrized_form
+from helpers import longest_word_by_rho, roots_by_reflection_closure, symmetrized_form, time_bound
 
 from lieorbits.cli import main
 from lieorbits.minorbit import min_orbit_report
@@ -88,6 +89,65 @@ def test_rank_40_roots_pinned(capsys):
         assert main(["roots", "--type", family, "--rank", "40"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert hashlib.sha256(json.dumps(d).encode()).hexdigest() == want
+
+
+BUILT_TYPES = [(family, 40) for family in "ABCD"] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", BUILT_TYPES)
+def test_built_roots_are_nonzero_and_sign_pure(family, rank):
+    # build_root_system skips the checks of Root(...), so they are made here
+    rs = build_root_system(CartanType(family, rank))
+    for r in rs.roots:
+        assert type(r) is Root and len(r.coeffs) == rank
+        assert all(type(c) is int for c in r.coeffs)
+        assert all(c >= 0 for c in r.coeffs) or all(c <= 0 for c in r.coeffs)
+        assert any(r.coeffs)
+    assert all(r.is_positive for r in rs.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", BUILT_TYPES)
+def test_negative_roots_are_the_positives_negated_in_reverse(family, rank):
+    rs = build_root_system(CartanType(family, rank))
+    m = rs.num_positive
+    assert rs.roots[m:] == rs.positive_roots
+    assert [r.coeffs for r in rs.roots[:m]] == [tuple(-c for c in r.coeffs) for r in reversed(rs.positive_roots)]
+
+
+def test_build_root_system_calls_no_validating_constructor():
+    checked = vars(Root)["__new__"]
+    calls = []
+
+    def counting(cls, coeffs):
+        calls.append(coeffs)
+        return checked.__func__(cls, coeffs)
+
+    Root.__new__ = staticmethod(counting)
+    try:
+        rs = build_root_system(CartanType("E", 8))
+        assert calls == []
+        Root((1, 0))  # the wrapper is live
+        assert calls == [(1, 0)]
+    finally:
+        Root.__new__ = checked
+    assert len(rs.roots) == 240
+    with pytest.raises(ValueError):
+        Root((1, -1))
+
+
+def test_classical_rank_40_systems_build_together_within_half_a_second():
+    with time_bound(0.5, "A40, B40, C40 and D40 root systems"):
+        systems = [build_root_system(CartanType(family, 40)) for family in "ABCD"]
+    assert [len(rs.roots) for rs in systems] == [1640, 3200, 3200, 3120]
+
+
+def test_cartan_type_rank_must_be_an_int():
+    for rank in (2.5, 2.0, True, False, "2", Fraction(2)):
+        with pytest.raises(TypeError, match=f"^rank {re.escape(repr(rank))} is a {type(rank).__name__}; give an int$"):
+            CartanType("A", rank)
+    with pytest.raises(TypeError):
+        CartanType("A", 2)._replace(rank=2.0)
+    assert CartanType("A", 2).rank == 2
 
 
 def test_invalid_ranks_rejected():
