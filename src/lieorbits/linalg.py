@@ -9,18 +9,19 @@ and poly_mul multiply two scalings in ints, and charpoly, poly_eval_matrix
 and poly_compose_mod are the Fraction views of integer kernels that sln also
 reads in ints.  One fraction-free long division, _int_divmod, serves
 poly_divmod, composition modulo a polynomial, the Smith form, and the
-remainder sequences of the one integer gcd and of the Sturm chain, which
-divide out each content.  One fraction-free Gauss-Jordan elimination, fed one
-integer row at a time, is the only one: rank counts the rows it keeps,
-nullspace is the Fraction view of its integer kernel, and solve and inverse
-divide its rows, sorted by pivot, by the last pivot.  _int_charpoly solves
-Newton's identities on the power sums of d*a, the first ceil(n/2) of them
-traces of its powers, which one lazy sequence, _int_powers, forms as it does
-for Jacobson-Morozov and sln; Paterson-Stockmeyer evaluates a polynomial at
-d*a on such a table of powers, charpoly's own in the Jordan decomposition.
-invariant_factors takes the Smith form in Z[t] of the relations of a Krylov
-basis of d*a, grown with the same elimination; rational_roots bisects a
-monic integer transform with a Sturm chain from Fujiwara's bound.
+remainder sequences of the one integer gcd, _int_gcd (_int_squarefree is P
+over _int_gcd(P, P')), and of the Sturm chain, which divide out each content.
+One fraction-free Gauss-Jordan elimination, fed one integer row at a time, is
+the only one: rank counts the rows it keeps, nullspace is the Fraction view of
+its integer kernel, and solve and inverse divide its rows, sorted by pivot, by
+the last pivot.  _int_charpoly solves Newton's identities on the power sums of
+d*a, the first ceil(n/2) of them traces of its powers, which one lazy
+sequence, _int_powers, forms as it does for Jacobson-Morozov and sln;
+Paterson-Stockmeyer evaluates a polynomial at d*a on such a table of powers,
+charpoly's own in the Jordan decomposition.  invariant_factors takes the Smith
+form in Z[t] of the relations of a Krylov basis of d*a, grown with the same
+elimination; rational_roots bisects a monic integer transform with a Sturm
+chain from Fujiwara's bound.
 """
 
 from __future__ import annotations
@@ -427,6 +428,11 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return [x // g for x in a]
 
 
+def _int_squarefree(p: list[int]) -> list[int]:
+    """P over gcd(P, P') for a trimmed nonzero integer list P, primitive: the same roots, each once (monic if P is)."""
+    return _primitive(_int_divmod(p, _int_gcd(p, poly_deriv(p)))[1])
+
+
 def _primitive(p: list[int]) -> list[int]:
     """An integer coefficient list divided by its content, the positive gcd of its entries."""
     g = gcd(*p)
@@ -453,16 +459,6 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
 
 def poly_deriv(p: Poly) -> Poly:
     return poly_trim([i * p[i] for i in range(1, len(p))])
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p over the monic gcd(p, p'): the same roots, each once.  Raises ValueError on the zero polynomial."""
-    d, (ip,) = _integer_scaled([poly_trim(p)])
-    if not ip:
-        raise ValueError("the zero polynomial has no squarefree part")
-    g = _int_gcd(ip, poly_deriv(ip))
-    s, quo, _ = _int_divmod(ip, g)  # s*P = T*G, and p over the monic G/c is c*T/(s*d)
-    return [Fraction(g[-1] * x, s * d) for x in quo]
 
 
 def poly_eval(p: Poly, x):
@@ -553,7 +549,7 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     d, (ip,) = _integer_scaled([q])
     n, lead = len(ip) - 1, ip[-1]
     big = [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
-    candidates = _unit_intervals_with_roots(_int_divmod(big, _int_gcd(big, poly_deriv(big)))[1])
+    candidates = _unit_intervals_with_roots(_int_squarefree(big))
     for y in sorted(candidates, reverse=lead < 0):  # ascending y/a_n
         mult = 0
         while len(big) > 1:

@@ -27,8 +27,11 @@ class Partition(namedtuple("Partition", "parts")):
     def __new__(cls, parts: tuple[int, ...]):
         if not parts:
             raise ValueError("a partition needs at least one part")
-        if any(p < 1 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
+        for p in parts:
+            if type(p) is not int:  # bool too: True would print as True and count as 1
+                raise TypeError(f"part {p!r} is a {type(p).__name__}; give an int")
+            if p < 1:
+                raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         return tuple.__new__(cls, (parts,))

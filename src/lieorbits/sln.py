@@ -5,11 +5,12 @@ operator in a fixed basis, centralizer and orbit dimensions, semisimplicity
 and nilpotency tests, the Jordan decomposition, characteristic-polynomial
 invariants, a conjugacy test for rational spectra, and the orbit symplectic
 pairing.  All arithmetic is exact; there is no floating-point mode.  The
-bracket, the Killing form, the Jordan parts, the traces of powers and the
-rank sequences scale their inputs to integers once, X = d*x, compute in
-ints, and build each Fraction of a result once, its trace checked in ints.
-Powers come from linalg's one power sequence, and a rank sequence's from a
-primitive base; the Jordan parts reuse those of the characteristic polynomial.
+bracket, the Killing form, the traces of powers, the Jordan parts and the
+semisimplicity and conjugacy tests scale their inputs to integers once, X =
+d*x (one d for x and y), compute in ints, in Z[t] from the characteristic
+polynomial on, and build each Fraction of a result once, its trace checked
+in ints.  Powers come from linalg's one power sequence, a rank sequence's
+from a primitive base, and the Jordan parts' from the characteristic polynomial.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -53,6 +54,9 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
             raise ValueError("n must be at least 1")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} matrix")
+        for v in chain.from_iterable(entries):
+            if type(v) is not Fraction and type(v) is not int:  # from_rows coerces; a float would fail in linalg
+                raise TypeError(f"{v!r} is a {type(v).__name__}; give an exact int or Fraction")
         tr = sum((entries[i][i] for i in range(n)), Fraction(0))
         if tr != 0:
             raise ValueError(f"trace must be zero, got {_text(tr)}")
@@ -213,56 +217,51 @@ def is_nilpotent(x: SlnElement) -> bool:
 
 
 def is_semisimple(x: SlnElement) -> bool:
-    """Diagonalizable iff the squarefree part q of the charpoly p kills x (q = p does, by Cayley-Hamilton)."""
-    p = linalg.charpoly(x.to_matrix())
-    q = linalg.squarefree_part(p)
-    return len(q) == len(p) or linalg.mat_is_zero(linalg.poly_eval_matrix(q, x.to_matrix()))
+    """Diagonalizable iff the squarefree part Q of the charpoly P of X = d*x kills X (P does, by Cayley-Hamilton)."""
+    a = linalg._integer_scaled(x.entries)[1]
+    p = linalg._int_charpoly(a)[0]
+    q = linalg._int_squarefree(p)
+    return len(q) == len(p) or linalg.mat_is_zero(linalg.poly_eval_matrix(q, a))
 
 
 def jordan_chevalley(x: SlnElement) -> JordanPair:
     """Split x into commuting semisimple and nilpotent parts, exactly.
 
-    Newton iteration on the squarefree part q of the characteristic
-    polynomial p, in the quotient ring Q[T]/(p): from the identity
-    polynomial t, iterate s -> N(s) for the Newton map N(t) = t - q(t)*u(t),
-    u the inverse of q' modulo q.  u(s) is a unit modulo p, so s stops
-    changing exactly when q(s) = 0, which ceil(log2 n) + 1 rounds reach as
-    q(x) is nilpotent; the rounds compose in ints.  No round runs when p is
-    squarefree (q = p, s = t) or q = t (x is nilpotent, s = 0).  Paterson-
-    Stockmeyer on the powers of X = d*x that charpoly formed gives the
-    semisimple part S/den in at most one product, and the nilpotent part is
-    (X*(L/d) - S*(L/den))/L, L = lcm(d, den): den need not be a multiple of d.
+    Newton iteration on the squarefree part Q of the characteristic
+    polynomial P of X = d*x, in the quotient ring Q[T]/(P): from the identity
+    polynomial t, iterate r -> N(r) for the Newton map N(t) = t - Q(t)*U(t),
+    U the inverse of Q' modulo Q.  U(r) is a unit modulo P, so r = s/den, s
+    in Z[t], stops changing exactly when Q(r) = 0, which ceil(log2 n) + 1
+    rounds reach as Q(X) is nilpotent.  No round runs when P is squarefree (Q
+    = P, r = t) or Q = t (x is nilpotent, r = 0).  Paterson-Stockmeyer on the
+    powers of X that charpoly formed gives s(X) in at most one product; the
+    parts are s(X)/(d*den) and (den*X - s(X))/(d*den), and the witness is
+    s(d*t)/(d*den), as the Newton map commutes with t -> d*t.
     """
-    n = x.n
     d, a = linalg._integer_scaled(x.entries)
-    coeffs, powers = linalg._int_charpoly(a)
-    p = [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
-    q = linalg.squarefree_part(p)
-    t: Poly = [Fraction(0), Fraction(1)]
-    den, s = 1, [0, 1]  # sigma = s/den
+    p, powers = linalg._int_charpoly(a)
+    q = linalg._int_squarefree(p)
+    den, s = 1, [0, 1]  # the iterate r = s/den
     if len(q) == 2 < len(p):  # q = t: the one Newton round would give s = 0
         s = []
     elif len(q) < len(p):  # a repeated root
-        _, u, _ = linalg.poly_xgcd(linalg.poly_deriv(q), q)
-        dn, (newton,) = linalg._integer_scaled([linalg.poly_sub(t, linalg.poly_mul(q, u))])
-        m = linalg._integer_scaled([p])[1][0]
-        for _ in range((n - 1).bit_length() + 1):  # ceil(log2 n) + 1
-            step = linalg._int_compose_mod(newton, dn, s, den, m)
+        du, (u,) = linalg._integer_scaled([linalg.poly_xgcd(linalg.poly_deriv(q), q)[1]])
+        newton = [du * (k == 1) - c for k, c in enumerate(linalg._int_poly_mul(q, u))]  # du*N = du*t - Q*(du*U)
+        for _ in range((x.n - 1).bit_length() + 1):  # ceil(log2 n) + 1
+            step = linalg._int_compose_mod(newton, du, s, den, p)
             if step == (den, s):
                 break
             den, s = step
-    sigma = [Fraction(c, den) for c in s]
-    if linalg.poly_compose_mod(q, sigma, p):
+    if linalg.poly_compose_mod([c * den ** (len(q) - 1 - k) for k, c in enumerate(q)], s, p):  # den^m Q(r)
         raise RuntimeError("Newton iteration failed to converge; this is a bug")
-    scale, xs = linalg._int_poly_eval_matrix(s, d, powers)
-    den *= scale
-    lcm = math.lcm(d, den)
-    xn = [[lcm // d * u - lcm // den * v for u, v in zip(r, w)] for r, w in zip(a, xs)]
+    _, xs = linalg._int_poly_eval_matrix(s, 1, powers)
+    xn = [[den * v - w for v, w in zip(ra, rs)] for ra, rs in zip(a, xs)]
+    sigma = [Fraction(c * d**k, d * den) for k, c in enumerate(s)]
     return JordanPair(
-        semisimple_part=_from_ints(xs, den),
-        nilpotent_part=_from_ints(xn, lcm),
+        semisimple_part=_from_ints(xs, d * den),
+        nilpotent_part=_from_ints(xn, d * den),
         semisimple_witness=tuple(sigma),
-        nilpotent_witness=tuple(linalg.poly_sub(t, sigma)),
+        nilpotent_witness=tuple(linalg.poly_sub([0, 1], sigma)),
     )
 
 
@@ -310,22 +309,19 @@ def _spectrum(p: Poly) -> dict[Fraction, int]:
     return dict(roots)
 
 
-def _rank_sequence(x: SlnElement, lam: Fraction, mult: int):
-    """The lazy sequence rank((x - lam I)^k) for k = 1, ..., mult - 1.
+def _rank_sequence(a: list[list[int]], mu: int, mult: int):
+    """The lazy sequence rank((x - lam I)^k) for k = 1, ..., mult - 1, from a = d*x and the integer mu = d*lam.
 
     With rank n - mult for every power k >= mult, these ranks fix the sizes
     of the Jordan blocks of x at an eigenvalue lam of multiplicity mult: the
-    number of blocks of size at least k is rank^(k-1) - rank^k.  The powers
-    are those of the primitive base D*(x - lam I)/g = (X*(D/d) - (D*lam)I)/g,
-    X = d*x, D = lcm(d, den lam) and g the gcd of its integer entries, which
-    have the same ranks; the k-th power would otherwise carry g^k.
+    number of blocks of size at least k is rank^(k-1) - rank^k.  mu is a
+    rational root of the monic characteristic polynomial of a, so an integer.
+    The powers are those of the primitive base (a - mu I)/g, g the gcd of its
+    entries, of the ranks of x - lam I; the k-th power would otherwise carry g^k.
     """
-    d, a = linalg._integer_scaled(x.entries)
-    big = math.lcm(d, lam.denominator)
-    s, c = big // d, lam.numerator * (big // lam.denominator)
-    a = [[s * v - c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
-    g = math.gcd(*chain.from_iterable(a)) or 1  # x = lam I is x = 0, a zero base
-    return map(linalg.rank, linalg._int_powers([[v // g for v in row] for row in a], mult - 1))
+    base = [[v - mu * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+    g = math.gcd(*chain.from_iterable(base)) or 1  # x = lam I is x = 0, a zero base
+    return map(linalg.rank, linalg._int_powers([[v // g for v in row] for row in base], mult - 1))
 
 
 def same_orbit(x: SlnElement, y: SlnElement) -> bool:
@@ -333,19 +329,22 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
 
     Equality of all such ranks pins the Jordan type at every eigenvalue; for
     traceless matrices conjugacy over the full linear group coincides with
-    conjugacy over the special linear group.  A rational spectrum fixes the
-    characteristic polynomial, so y's roots are sought only when it differs
-    from x's, to raise on an irrational one.  The rank sequences are compared
-    power by power, so the first difference ends the test.
+    conjugacy over the special linear group.  On X, Y = d*(x, y), a rational
+    spectrum fixes the characteristic polynomial of X, so Y's roots are
+    sought only when its polynomial differs, to raise on an irrational one.
+    The rank sequences are compared power by power, so the first difference
+    ends the test.
     """
     _same_n(x, y)
-    p = linalg.charpoly(x.to_matrix())
+    rows = linalg._integer_scaled(x.entries + y.entries)[1]
+    a, b = rows[: x.n], rows[x.n :]
+    p = linalg._int_charpoly(a)[0]
     ex = _spectrum(p)
-    if (py := linalg.charpoly(y.to_matrix())) != p:
+    if (py := linalg._int_charpoly(b)[0]) != p:
         _spectrum(py)
         return False
-    for lam, mult in ex.items():
-        if any(r != s for r, s in zip(_rank_sequence(x, lam, mult), _rank_sequence(y, lam, mult))):
+    for mu, mult in ex.items():
+        if any(r != s for r, s in zip(_rank_sequence(a, int(mu), mult), _rank_sequence(b, int(mu), mult))):
             return False
     return True
 

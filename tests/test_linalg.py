@@ -15,6 +15,7 @@ from helpers import (
     naive_rref,
     plain_mul,
     plain_poly_compose_mod,
+    plain_poly_deriv,
     plain_poly_divmod,
     plain_poly_eval_matrix,
     plain_poly_gcd,
@@ -468,7 +469,7 @@ POLY_INT_CASES = [
 def test_poly_routines_give_fractions_on_int_input(p, q):
     calls = [(linalg.poly_xgcd, (p, q))]
     if p:
-        calls.append((linalg.squarefree_part, (p,)))
+        check_integer_squarefree_part(p)
     if q:
         calls.append((linalg.poly_divmod, (p, q)))
     for f, args in calls:
@@ -478,13 +479,11 @@ def test_poly_routines_give_fractions_on_int_input(p, q):
         assert all(type(x) is Fraction for poly in polys for x in poly), (f.__name__, got)
 
 
-def test_squarefree_part_of_the_zero_polynomial_raises_value_error():
-    for zero in ([], [0], F(0, 0)):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            linalg.squarefree_part(zero)
+def test_zero_polynomial_gcds_and_a_squarefree_part():
     assert linalg._int_gcd([], []) == []
     assert linalg.poly_xgcd([], []) == ([], [Fraction(1)], [])
-    assert linalg.squarefree_part(F(-4, 0, 1, 0)) == F(-4, 0, 1)  # t^3 - 4t
+    assert linalg._int_squarefree([8, -4, -2, 1]) == [-4, 0, 1]  # (t - 2)^2 (t + 2)
+    assert linalg._int_squarefree([-4, 12, -9]) == [2, -3]  # -(3t - 2)^2: primitive, with the sign of its lead
 
 
 # int and Fraction coefficients, of either sign, degree up to 12; a polynomial
@@ -498,6 +497,15 @@ def int_scaled(p):
     # p times the lcm of its denominators, trimmed: an integer list with the same roots
     den = math.lcm(*[Fraction(c).denominator for c in p])
     return [int(Fraction(c) * den) for c in plain_poly_trim(p)]
+
+
+def check_integer_squarefree_part(p):
+    # the squarefree part of the scaling of a nonzero p is primitive, in ints, and a positive multiple of
+    # p over the monic gcd(p, p') by Euclid over Q
+    got = linalg._int_squarefree(int_scaled(p))
+    want = plain_poly_divmod(p, plain_poly_gcd(p, plain_poly_deriv(p)))[0]
+    assert [Fraction(c, got[-1]) for c in got] == [c / want[-1] for c in want], p
+    assert got[-1] * want[-1] > 0 and math.gcd(*got) == 1 and all(type(c) is int for c in got), p
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -522,9 +530,7 @@ def test_poly_kernels_against_the_plain_fraction_oracle(p, q, s, a):
     assert [Fraction(c, common[-1]) for c in common] == plain_poly_gcd(p, q)
     assert not common or (common[-1] > 0 and math.gcd(*common) == 1 and all(type(c) is int for c in common))
     if plain_poly_trim(p):
-        derivative = [i * Fraction(c) for i, c in enumerate(p)][1:]
-        squarefree = linalg.squarefree_part(p)
-        assert squarefree == plain_poly_divmod(p, plain_poly_gcd(p, derivative))[0] and fractions_only(squarefree)
+        check_integer_squarefree_part(p)
     value = linalg.poly_eval_matrix(p, a)
     assert value == plain_poly_eval_matrix(p, a) and fractions_only(*value)
     if not plain_poly_trim(q):

@@ -32,6 +32,16 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def test_partition_refuses_parts_that_are_not_ints():
+    # a float part would give a float n and orbit dimension, and a bool part prints as True
+    for parts in ((2.5,), (True, True), (3, 1.0), (2, "1")):
+        with pytest.raises(TypeError, match="give an int"):
+            Partition(parts)
+    with pytest.raises(TypeError):
+        regular_orbit(2.5)
+    assert str(Partition((True + True,))) == "2"
+
+
 def test_partitions_counts_and_order():
     assert [p.parts for p in partitions(1)] == [(1,)]
     assert [p.parts for p in partitions(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -122,6 +122,20 @@ def same_orbit_by_full_ranks(x, y):
     return True
 
 
+def test_element_refuses_entries_that_are_not_int_or_fraction():
+    # from_rows coerces through frac; a direct call keeps its entries, and a float among them would fail
+    # only at the first operation, inside linalg
+    with pytest.raises(TypeError, match=r"^0.5 is a float; give an exact int or Fraction$"):
+        SlnElement(2, ((0.5, 0), (0, -0.5)))
+    with pytest.raises(TypeError, match="is a bool"):
+        SlnElement(2, ((True, 0), (0, -1)))
+    with pytest.raises(TypeError, match="is a str"):
+        SlnElement(1, (("0",),))
+    with pytest.raises(TypeError, match="is a float"):
+        SlnElement.from_rows([[0.5, 0], [0, -0.5]])
+    assert SlnElement(2, ((1, Fraction(1, 2)), (0, -1))) == H + SlnElement.from_rows([[0, "1/2"], [0, 0]])
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         SlnElement.from_rows([[1, 0], [0, 0]])
@@ -396,7 +410,7 @@ def test_same_orbit_of_a_40x40_jordan_type_is_bounded():
 
 
 def test_rank_sequences_power_primitive_bases(monkeypatch):
-    # D*(x - lam I), D = lcm(d, den lam), can share a factor g that its k-th power would carry as g^k; the
+    # X - mu I, X = d*x and mu = d*lam, can share a factor g that its k-th power would carry as g^k; the
     # first matrix a rank sequence hands to rank is that base over its content (a higher power may have one)
     handed = []
     rank = linalg.rank
@@ -416,14 +430,15 @@ def test_rank_sequences_power_primitive_bases(monkeypatch):
     for x, y in pairs:
         if x.n < 40:
             assert same_orbit(x, y)
+        d, rows = linalg._integer_scaled(x.entries + y.entries)  # the one scaling same_orbit makes
         for lam, mult in rational_eigenvalues(x).items():
             ranks = []
-            for z in (x, y):
+            for z in (rows[: x.n], rows[x.n :]):
                 handed.clear()
-                ranks.append(list(_rank_sequence(z, lam, mult)))
+                ranks.append(list(_rank_sequence(z, int(d * lam), mult)))
                 assert len(handed) == mult - 1
                 if handed:
-                    assert math.gcd(*chain.from_iterable(handed[0])) == 1, (z, lam)
+                    assert math.gcd(*chain.from_iterable(handed[0])) == 1, (x, y, lam)
                     bases += 1
             assert ranks[0] == ranks[1]
             if x.n < 40:  # against the ranks of the Fraction powers of x - lam I
@@ -704,8 +719,9 @@ def jordan_type_by_sympy(m):
 def jordan_type_by_ranks(x):
     # blocks of size >= k at lam number rank^(k-1) - rank^k, with rank^0 = n and rank^mult = n - mult
     out = {}
+    d, a = linalg._integer_scaled(x.entries)
     for lam, mult in rational_eigenvalues(x).items():
-        ranks = [x.n] + list(_rank_sequence(x, lam, mult)) + [x.n - mult]
+        ranks = [x.n] + list(_rank_sequence(a, int(d * lam), mult)) + [x.n - mult]
         at_least = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
         out[lam] = [k for k in range(mult, 0, -1) for _ in range(at_least[k - 1] - (at_least[k] if k < mult else 0))]
     return out
@@ -740,9 +756,9 @@ def test_same_orbit_roots_a_shared_characteristic_polynomial_once(monkeypatch):
     # a rational spectrum fixes the characteristic polynomial: y's roots are sought only when its polynomial
     # differs from x's, and an irrational x raises before y's polynomial is formed
     roots_calls, charpoly_calls = [], []
-    rational_roots, charpoly = linalg.rational_roots, linalg.charpoly
+    rational_roots, charpoly = linalg.rational_roots, linalg._int_charpoly
     monkeypatch.setattr(linalg, "rational_roots", lambda p: roots_calls.append(p) or rational_roots(p))
-    monkeypatch.setattr(linalg, "charpoly", lambda a: charpoly_calls.append(a) or charpoly(a))
+    monkeypatch.setattr(linalg, "_int_charpoly", lambda a: charpoly_calls.append(a) or charpoly(a))
 
     def calls(x, y):
         roots_calls.clear()
@@ -765,6 +781,46 @@ def test_same_orbit_roots_a_shared_characteristic_polynomial_once(monkeypatch):
     assert calls(irrational, H) == (IrrationalSpectrumError, 1, 1)
     assert calls(irrational, irrational) == (IrrationalSpectrumError, 1, 1)
     assert calls(H, irrational) == (IrrationalSpectrumError, 2, 2)
+
+
+def test_semisimplicity_jordan_parts_and_conjugacy_scale_their_input_once(monkeypatch):
+    # is_semisimple, jordan_chevalley and same_orbit scale their input matrices to ints in one call and
+    # stay in Z[t] from there: no later scaling sees a Fraction (poly_eval_matrix and the rank sequences
+    # get ints, and a squarefree or nilpotent input scales no polynomial), and none forms charpoly
+    rng = random.Random(30)
+    sixth = Fraction(1, 6)
+    pairs = []
+    for n in (2, 4, 6, 8):
+        x = sixth * rand_jordan_type(rng, n)
+        g, gi = rand_unimodular(rng, n)
+        pairs += [(x, conjugate(g, gi, x)), (x, sixth * rand_nilpotent(rng, n))]
+    squarefree = [sixth * SlnElement.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), rand_fraction_traceless(rng, 5)]
+    nilpotent = [sixth * rand_nilpotent(rng, n) for n in (2, 5, 9)]
+    scaled = []
+    integer_scaled = linalg._integer_scaled
+
+    def counted(a):
+        if any(type(v) is not int for row in a for v in row):
+            scaled.append(a)
+        return integer_scaled(a)
+
+    def refuse(a):
+        raise AssertionError("charpoly called")
+
+    monkeypatch.setattr(linalg, "_integer_scaled", counted)
+    monkeypatch.setattr(linalg, "charpoly", refuse)
+    for x, y in pairs:
+        scaled.clear()
+        same_orbit(x, y)
+        assert scaled == [x.entries + y.entries]
+        scaled.clear()
+        is_semisimple(x)
+        assert scaled == [x.entries]
+        jordan_chevalley(x)  # no charpoly either; with a repeated root, the Newton map scales the inverse of Q'
+    for x in squarefree + nilpotent:
+        scaled.clear()
+        jordan_chevalley(x)
+        assert scaled == [x.entries]
 
 
 def test_same_orbit_dilation_of_nilpotent_part():

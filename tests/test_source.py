@@ -139,9 +139,9 @@ def test_no_stranded_private_functions():
 
 
 def test_integer_kernels_never_name_fraction():
-    # the remainder sequences, the Smith form, the Sturm chain, the integer matrix product and its powers,
-    # the characteristic polynomial, composition modulo a polynomial, Paterson-Stockmeyer on an integer
-    # matrix and the sl2-triple relations run in ints and build no Fraction; a
+    # the remainder sequences, the squarefree part, the Smith form, the Sturm chain, the integer matrix
+    # product and its powers, the characteristic polynomial, composition modulo a polynomial,
+    # Paterson-Stockmeyer on an integer matrix and the sl2-triple relations run in ints and build no Fraction; a
     # Fraction brought back into one of them would normalize a gcd at every step
     kernels = {
         "linalg.py": {
@@ -150,6 +150,7 @@ def test_integer_kernels_never_name_fraction():
             "_int_divmod",
             "_int_poly_mul",
             "_int_gcd",
+            "_int_squarefree",
             "_int_mul",
             "_int_powers",
             "_int_poly_eval_matrix",
