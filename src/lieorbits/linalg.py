@@ -61,19 +61,6 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    s = frac(s)
-    return [[s * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product ab, computed on integer scalings.
 

@@ -4,13 +4,13 @@ Provides the bracket, the Killing form (2n times the trace form), the adjoint
 operator in a fixed basis, centralizer and orbit dimensions, semisimplicity
 and nilpotency tests, the Jordan decomposition, characteristic-polynomial
 invariants, a conjugacy test for rational spectra, and the orbit symplectic
-pairing.  All arithmetic is exact; there is no floating-point mode.  The
-bracket, the Killing form, the traces of powers, the Jordan parts and the
-semisimplicity and conjugacy tests scale their inputs to integers once, X =
-d*x (one d for x and y), compute in ints, in Z[t] from the characteristic
-polynomial on, and build each Fraction of a result once, its trace checked
-in ints.  Powers come from linalg's one power sequence, a rank sequence's
-from a primitive base, and the Jordan parts' from the characteristic polynomial.
+pairing.  All arithmetic is exact; there is no floating-point mode.  An
+element carries its integer form X = d*x, d the lcm of its denominators; the
+operations read it, compute in ints, in Z[t] from the characteristic
+polynomial on, and build each Fraction of a result once, with its form, the
+trace checked in ints.  Powers come from linalg's one power sequence, a rank
+sequence's from a primitive base, and the Jordan parts' from the
+characteristic polynomial.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -54,18 +54,21 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
             raise ValueError("n must be at least 1")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} matrix")
-        for v in chain.from_iterable(entries):
-            if type(v) is not Fraction and type(v) is not int:  # from_rows coerces; a float would fail in linalg
-                raise TypeError(f"{v!r} is a {type(v).__name__}; give an exact int or Fraction")
-        tr = sum((entries[i][i] for i in range(n)), Fraction(0))
-        if tr != 0:
-            raise ValueError(f"trace must be zero, got {_text(tr)}")
+        if type(entries) is not _Entries:  # else checked when built
+            entries = _Entries(map(tuple, entries))
+            for v in chain.from_iterable(entries):
+                if type(v) is not Fraction and type(v) is not int:  # _integer_scaled takes bools
+                    raise TypeError(f"{v!r} is a {type(v).__name__}; give an exact int or Fraction")
+            d, a = linalg._integer_scaled(entries)
+            if tr := sum([row[i] for i, row in enumerate(a)]):
+                raise ValueError(f"trace must be zero, got {_text(Fraction(tr, d))}")
+            entries.scaled = (d, a)
         return tuple.__new__(cls, (n, entries))
 
     @classmethod
     def from_rows(cls, rows) -> "SlnElement":
-        entries = tuple([tuple([linalg.frac(x) for x in row]) for row in rows])
-        return cls(n=len(entries), entries=entries)
+        entries = [[linalg.frac(x) for x in row] for row in rows]
+        return cls(len(entries), entries)
 
     @classmethod
     def zero(cls, n: int) -> "SlnElement":
@@ -78,20 +81,25 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
         return all(x == 0 for row in self.entries for x in row)
 
     def __add__(self, other: "SlnElement") -> "SlnElement":
-        _same_n(self, other)
-        return SlnElement.from_rows(linalg.mat_add(self.to_matrix(), other.to_matrix()))
+        d, (a, b) = _scaled(self, other)
+        return _from_ints([[u + v for u, v in zip(r, s)] for r, s in zip(a, b)], d)
 
     def __sub__(self, other: "SlnElement") -> "SlnElement":
-        _same_n(self, other)
-        return SlnElement.from_rows(linalg.mat_sub(self.to_matrix(), other.to_matrix()))
+        return self + -other
 
     def __rmul__(self, scalar) -> "SlnElement":
-        return SlnElement.from_rows(linalg.mat_scale(self.to_matrix(), scalar))
+        s = linalg.frac(scalar)
+        d, a = self.entries.scaled
+        return _from_ints([[s.numerator * v for v in row] for row in a], d * s.denominator)
 
     __mul__ = __rmul__  # scalars commute; tuple repetition must not show through
 
     def __neg__(self) -> "SlnElement":
-        return SlnElement.from_rows(linalg.mat_scale(self.to_matrix(), -1))
+        return self * -1
+
+
+class _Entries(tuple):
+    """Row tuples with their integer form scaled = (d, d*rows), d > 0 coprime to the content."""
 
 
 def _text(v) -> str:
@@ -116,21 +124,28 @@ class JordanPair(namedtuple("JordanPair", "semisimple_part nilpotent_part semisi
     __slots__ = ()
 
 
-def _same_n(x: SlnElement, y: SlnElement):
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-
-
 def _from_ints(m: list[list[int]], den: int) -> SlnElement:
-    """The element m/den of a square integer matrix m, den > 0: one Fraction per nonzero entry.
+    """The element m/den, den > 0, of a square integer m: one Fraction per nonzero entry, its form in lowest terms.
 
-    Its callers form traceless results, so a nonzero trace, checked in ints, is a bug: RuntimeError.
+    Its callers form traceless results: a nonzero trace, checked in ints, is a bug.
     """
     if sum([row[i] for i, row in enumerate(m)]):
         raise RuntimeError("an integer result has a nonzero trace; this is a bug")
+    if (g := math.gcd(den, *chain.from_iterable(m))) > 1:
+        den, m = den // g, [[v // g for v in row] for row in m]
     zero = Fraction(0)
-    entries = tuple([tuple([Fraction(v, den) if v else zero for v in row]) for row in m])
+    entries = _Entries([tuple([Fraction(v, den) if v else zero for v in row]) for row in m])
+    entries.scaled = (den, m)
     return tuple.__new__(SlnElement, (len(m), entries))
+
+
+def _scaled(x: SlnElement, y: SlnElement):
+    """(d, [d*x, d*y]) for d the lcm of the two forms' d: one multiply a side."""
+    if x.n != y.n:
+        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
+    forms = x.entries.scaled, y.entries.scaled
+    d = math.lcm(forms[0][0], forms[1][0])
+    return d, [a if e == d else [[v * (d // e) for v in row] for row in a] for e, a in forms]
 
 
 def coords_in_basis(m: Matrix) -> list[Fraction]:
@@ -145,20 +160,17 @@ def coords_in_basis(m: Matrix) -> list[Fraction]:
 
 
 def bracket(x: SlnElement, y: SlnElement) -> SlnElement:
-    """The commutator xy - yx: (XY - YX)/d^2 for X, Y = d*(x, y), d the lcm of all their denominators."""
-    _same_n(x, y)
+    """The commutator xy - yx: (XY - YX)/d^2 for X, Y = d*(x, y)."""
     n = x.n
-    d, rows = linalg._integer_scaled(x.entries + y.entries)
-    ab, ba = linalg._int_mul(rows[:n], rows[n:], n), linalg._int_mul(rows[n:], rows[:n], n)
+    d, (a, b) = _scaled(x, y)
+    ab, ba = linalg._int_mul(a, b, n), linalg._int_mul(b, a, n)
     return _from_ints([[u - v for u, v in zip(r, s)] for r, s in zip(ab, ba)], d * d)
 
 
 def killing(x: SlnElement, y: SlnElement) -> Fraction:
     """The invariant form 2n * trace(xy): 2n * sum_ij X_ij Y_ji / d^2 for X, Y = d*(x, y)."""
-    _same_n(x, y)
-    n = x.n
-    d, rows = linalg._integer_scaled(x.entries + y.entries)
-    return Fraction(2 * n * sum(map(mul, chain.from_iterable(rows[:n]), chain.from_iterable(zip(*rows[n:])))), d * d)
+    d, (a, b) = _scaled(x, y)
+    return Fraction(2 * x.n * sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b)))), d * d)
 
 
 def _add_bracket_unit(m: Matrix, a: Matrix, i: int, j: int, sign: int) -> None:
@@ -196,13 +208,13 @@ def ad_matrix(x: SlnElement) -> Matrix:
 
 
 def centralizer_dim(x: SlnElement) -> int:
-    """Dimension of the commutant {y : [x,y] = 0}, from the invariant factors of x.
+    """Dimension of the commutant {y : [x,y] = 0}, from the invariant factors of X = d*x.
 
-    With g_1, g_2, ... the invariant factors of x, largest first, the
-    centralizer in gl_n has dimension sum_(i,j) deg gcd(g_i, g_j) =
-    sum_i (2i-1) deg g_i (Frobenius); the scalars leave one dimension.
+    With g_1, g_2, ... those of X, largest first, the centralizer of X and x
+    in gl_n has dimension sum_(i,j) deg gcd(g_i, g_j) = sum_i (2i-1) deg g_i
+    (Frobenius); the scalars leave one dimension.
     """
-    factors = linalg.invariant_factors(x.to_matrix())
+    factors = linalg.invariant_factors(x.entries.scaled[1])
     return sum((2 * i + 1) * linalg.poly_deg(g) for i, g in enumerate(reversed(factors))) - 1
 
 
@@ -213,12 +225,12 @@ def orbit_dim(x: SlnElement) -> int:
 
 def is_nilpotent(x: SlnElement) -> bool:
     """Nilpotent iff the characteristic polynomial is t^n, as that of X = d*x is, in ints."""
-    return not any(linalg._int_charpoly(linalg._integer_scaled(x.entries)[1])[0][:-1])
+    return not any(linalg._int_charpoly(x.entries.scaled[1])[0][:-1])
 
 
 def is_semisimple(x: SlnElement) -> bool:
     """Diagonalizable iff the squarefree part Q of the charpoly P of X = d*x kills X (P does, by Cayley-Hamilton)."""
-    a = linalg._integer_scaled(x.entries)[1]
+    a = x.entries.scaled[1]
     p = linalg._int_charpoly(a)[0]
     q = linalg._int_squarefree(p)
     return len(q) == len(p) or linalg.mat_is_zero(linalg.poly_eval_matrix(q, a))
@@ -238,7 +250,7 @@ def jordan_chevalley(x: SlnElement) -> JordanPair:
     parts are s(X)/(d*den) and (den*X - s(X))/(d*den), and the witness is
     s(d*t)/(d*den), as the Newton map commutes with t -> d*t.
     """
-    d, a = linalg._integer_scaled(x.entries)
+    d, a = x.entries.scaled
     p, powers = linalg._int_charpoly(a)
     q = linalg._int_squarefree(p)
     den, s = 1, [0, 1]  # the iterate r = s/den
@@ -271,11 +283,12 @@ def invariants_phi(x: SlnElement) -> tuple[Fraction, ...]:
     These generate the conjugation-invariant polynomials, so the vector is
     constant on orbits and vanishes exactly on the nilpotent cone.
     """
-    p = linalg.charpoly(x.to_matrix())
+    d, a = x.entries.scaled
+    p = linalg.charpoly(a)
     n = x.n
     if n >= 2 and p[n - 1] != 0:
         raise RuntimeError("trace coefficient nonzero for a traceless matrix")
-    return tuple([p[n - k] for k in range(2, n + 1)])
+    return tuple([Fraction(p[n - k].numerator, d**k) for k in range(2, n + 1)])
 
 
 def trace_power(x: SlnElement, k: int) -> Fraction:
@@ -287,7 +300,7 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    d, a = linalg._integer_scaled(x.entries)
+    d, a = x.entries.scaled
     traces = [Fraction(x.n)]
     for m, power in enumerate(linalg._int_powers(a, k), start=1):
         traces.append(Fraction(sum([power[i][i] for i in range(x.n)]), d**m))
@@ -296,7 +309,8 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
 
 def rational_eigenvalues(x: SlnElement) -> dict[Fraction, int]:
     """Eigenvalues with multiplicity; raises unless the spectrum is rational."""
-    return _spectrum(linalg.charpoly(x.to_matrix()))
+    d, a = x.entries.scaled
+    return {mu / d: mult for mu, mult in _spectrum(linalg.charpoly(a)).items()}
 
 
 def _spectrum(p: Poly) -> dict[Fraction, int]:
@@ -335,9 +349,7 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
     The rank sequences are compared power by power, so the first difference
     ends the test.
     """
-    _same_n(x, y)
-    rows = linalg._integer_scaled(x.entries + y.entries)[1]
-    a, b = rows[: x.n], rows[x.n :]
+    a, b = _scaled(x, y)[1]
     p = linalg._int_charpoly(a)[0]
     ex = _spectrum(p)
     if (py := linalg._int_charpoly(b)[0]) != p:
@@ -351,8 +363,6 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
 
 def kks_form(x: SlnElement, y: SlnElement, z: SlnElement) -> Fraction:
     """The orbit symplectic pairing at x: <x, [y, z]>."""
-    _same_n(x, y)
-    _same_n(x, z)
     return killing(x, bracket(y, z))
 
 

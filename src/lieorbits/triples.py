@@ -26,7 +26,8 @@ ker e^(k-1), that layer and the earlier tops of its stage exactly when its
 bottom is independent of the earlier pivots.  The chains are independent
 because their bottoms are.  h and y are integer products over one scaling
 of the inverse chain basis, checked in ints by the relation test that
-verify_matrix_triple runs, before any Fraction is built.
+verify_matrix_triple runs, before any Fraction is built.  The construction
+and the check read the integer forms that the elements carry.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .sln import SlnElement, _from_ints
+from .sln import SlnElement, _from_ints, _scaled
 
 if TYPE_CHECKING:
     from .rootsys import RootSystem
@@ -62,14 +63,15 @@ class MatrixTriple(namedtuple("MatrixTriple", "x h y")):
 def verify_matrix_triple(t: MatrixTriple) -> bool:
     """Exact check of all three defining bracket relations.
 
-    Runs _relations_hold on X, H, Y = D*(x, h, y), D the lcm of all their
-    denominators.
+    Runs _relations_hold on x's integer form X = dx*x and on H, Y = dh*(h, y),
+    dh the lcm of the form denominators of h and y.
     """
     n = t.x.n
     if not (n == t.h.n == t.y.n):
         raise ValueError("triple members must share a dimension")
-    d, rows = linalg._integer_scaled(t.x.entries + t.h.entries + t.y.entries)
-    return _relations_hold(rows[:n], rows[n : 2 * n], rows[2 * n :], d, d)
+    dx, x = t.x.entries.scaled
+    dh, (h, y) = _scaled(t.h, t.y)
+    return _relations_hold(x, h, y, dx, dh)
 
 
 def _relations_hold(x: list[list[int]], h: list[list[int]], y: list[list[int]], dx: int, dh: int) -> bool:
@@ -120,18 +122,18 @@ def _from_columns(vectors) -> linalg.Matrix:
 def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     """Complete a nilpotent traceless matrix to an sl2-triple.
 
-    The chains are built in ints from the powers of E = d*e (d the lcm of
-    the denominators of e), which decide nilpotency (ValueError if e^n is not
-    zero).  For k = m, ..., 1 (m the nilpotency index) the integer kernel
-    basis of E^k, read off its fraction-free echelon (the last pivot times
-    the basis with a unit at each free column), gives the candidate tops of
-    length k, and one product with E^(k-1) their bottoms.  The tops are the
+    The chains are built in ints from the powers of E = d*e (e's integer form,
+    d the lcm of its denominators), which decide nilpotency (ValueError if e^n
+    is not zero).  For k = m, ..., 1 (m the nilpotency index) the integer
+    kernel basis of E^k, read off its fraction-free echelon (the last pivot
+    times the basis with a unit at each free column), gives the candidate tops
+    of length k, and one product with E^(k-1) their bottoms.  The tops are the
     candidates whose bottom is independent of every bottom before it, in one
     elimination of all bottoms (a deterministic choice).  That is the
-    stage-by-stage kernel-filtration rule: e^(k-1) kills ker e^(k-1) and
-    sends the height-k layer of the longer chains and the earlier tops of
-    the stage to their bottoms, and a bottom that is no pivot lies in the
-    span of those before it.
+    stage-by-stage kernel-filtration rule: e^(k-1) kills ker e^(k-1) and sends
+    the height-k layer of the longer chains and the earlier tops of the stage
+    to their bottoms, and a bottom that is no pivot lies in the span of those
+    before it.
 
     With g the chain basis, bottom first, column j of a chain of length s is
     E^(s-1-j) v = d^(s-1-j) e^(s-1-j) v.  h scales it by s-1-2j, and f sends it
@@ -146,7 +148,7 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
     if e.is_zero():  # the general path gives h = y = 0 too, through eliminations, products and the bracket check
         return MatrixTriple(x=e, h=e, y=e)
     n = e.n
-    d, a = linalg._integer_scaled(e.entries)
+    d, a = e.entries.scaled
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]  # E^k for E = d*e, up to the first zero
     for power in linalg._int_powers(a, n):
         powers.append(power)

@@ -119,7 +119,7 @@ def test_invariant_factor_check_exits_3(capsys, monkeypatch, x2):
 def test_triple_bracket_check_exits_3(capsys, monkeypatch, x2):
     # a chain-basis inverse scaled by 2 doubles h and y, so [h, x] = 4x
     inverse = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse", lambda a: linalg.mat_scale(inverse(a), 2))
+    monkeypatch.setattr(linalg, "inverse", lambda a: [[2 * v for v in row] for row in inverse(a)])
     code, out = run(capsys, ["jm", "--matrix", x2])
     assert code == 3
     error = one_json_line(out)["error"]

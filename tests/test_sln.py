@@ -7,6 +7,7 @@ polynomial.  That reduction is relied on throughout this module.
 """
 
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import chain
@@ -37,11 +38,12 @@ from helpers import (
 )
 from lieorbits import linalg
 from lieorbits.cli import matrix_from_json, matrix_to_json
-from lieorbits.orbits import Partition, orbit_dim_partition, partitions
+from lieorbits.orbits import Partition, jordan_matrix, orbit_dim_partition, partitions
 from lieorbits.sln import (
     IrrationalSpectrumError,
     SlnElement,
     _rank_sequence,
+    _scaled,
     ad_matrix,
     bracket,
     centralizer_dim,
@@ -58,6 +60,7 @@ from lieorbits.sln import (
     same_orbit,
     trace_power,
 )
+from lieorbits.triples import MatrixTriple, jacobson_morozov_sln, verify_matrix_triple
 
 X = SlnElement.from_rows([[0, 1], [0, 0]])
 H = SlnElement.from_rows([[1, 0], [0, -1]])
@@ -145,6 +148,84 @@ def test_element_validation():
         bracket(X, SlnElement.zero(3))
     with pytest.raises(TypeError):  # 0.1 would enter as 3602879701896397/36028797018963968
         SlnElement.from_rows([[0.1, 0], [0, -0.1]])
+
+
+def test_list_rows_are_stored_as_row_tuples():
+    x = SlnElement(2, [[0, 1], [0, 0]])
+    assert all(type(row) is tuple for row in x.entries)
+    assert x == X and hash(x) == hash(X)
+    assert bracket(H, x) == 2 * X and bracket(x, H) == -2 * X
+    assert killing(x, Y) == 4 and same_orbit(x, X) and x - X == SlnElement.zero(2)
+
+
+def plain_form(entries):
+    # (d, d * entries) for d the lcm of the denominators, by Fraction arithmetic alone
+    d = math.lcm(*[Fraction(v).denominator for row in entries for v in row])
+    return d, [[int(Fraction(v) * d) for v in row] for row in entries]
+
+
+def assert_form(z, want):
+    # z's integer form is normalized, equals the plain one of the oracle rows want, and survives == and pickle
+    d, a = z.entries.scaled
+    assert d > 0 and all(type(v) is int for row in a for v in row)
+    assert math.gcd(d, *chain.from_iterable(a)) == 1
+    assert (d, [list(row) for row in a]) == plain_form(want) and z.entries == tuple(map(tuple, want))
+    assert all(type(row) is tuple for row in z.entries)
+    same = SlnElement.from_rows(want)
+    assert same == z and hash(same) == hash(z) and same.entries.scaled == (d, a)
+    back = pickle.loads(pickle.dumps(z))
+    assert back == z and hash(back) == hash(z) and back.entries.scaled == (d, a)
+
+
+@st.composite
+def traceless_rows(draw, n, nilpotent=False):
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    rows = [[draw(entry) if j > i or not nilpotent else Fraction(0) for j in range(n)] for i in range(n)]
+    if not nilpotent:
+        rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    return rows
+
+
+@st.composite
+def element_cases(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(traceless_rows(n)), draw(traceless_rows(n)), draw(traceless_rows(n, nilpotent=True))
+
+
+def plain_sum(a, b, sign=1):
+    return [[u + sign * v for u, v in zip(r, s)] for r, s in zip(a, b)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(element_cases(), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
+def test_every_element_carries_its_normalized_integer_form(case, c):
+    n, xr, yr, er = case
+    mixed = [[int(v) if v.denominator == 1 else v for v in row] for row in xr]  # ints among Fractions
+    built = [
+        SlnElement.from_rows(xr),
+        SlnElement(n, xr),
+        SlnElement(n, mixed),
+        SlnElement(n, tuple(map(tuple, mixed))),
+        SlnElement.from_rows(yr)._replace(entries=xr),
+        SlnElement._make([n, xr]),
+        SlnElement._make(SlnElement.from_rows(xr)),
+    ]
+    for z in built:
+        assert_form(z, xr)
+    x, y, e = (SlnElement.from_rows(r) for r in (xr, yr, er))
+    assert_form(bracket(x, y), plain_commutator(xr, yr))
+    assert_form(x + y, plain_sum(xr, yr))
+    assert_form(x - y, plain_sum(xr, yr, -1))
+    assert_form(c * x, [[c * v for v in row] for row in xr])
+    assert_form(-x, [[-v for v in row] for row in xr])
+    assert_form(x - x, [[0] * n for _ in range(n)])
+    parts = jordan_chevalley(x)
+    assert_form(parts.semisimple_part, plain_sum(xr, parts.nilpotent_part.to_matrix(), -1))
+    assert_form(parts.nilpotent_part, plain_sum(xr, parts.semisimple_part.to_matrix(), -1))
+    t = jacobson_morozov_sln(e)
+    assert_form(t.h, plain_commutator(er, t.y.to_matrix()))
+    assert_form(t.y, t.y.to_matrix())
+    assert_form(t.x, er)
 
 
 def test_bracket_examples():
@@ -430,10 +511,10 @@ def test_rank_sequences_power_primitive_bases(monkeypatch):
     for x, y in pairs:
         if x.n < 40:
             assert same_orbit(x, y)
-        d, rows = linalg._integer_scaled(x.entries + y.entries)  # the one scaling same_orbit makes
+        d, rows = _scaled(x, y)  # the integer forms same_orbit reads, on one denominator
         for lam, mult in rational_eigenvalues(x).items():
             ranks = []
-            for z in (rows[: x.n], rows[x.n :]):
+            for z in rows:
                 handed.clear()
                 ranks.append(list(_rank_sequence(z, int(d * lam), mult)))
                 assert len(handed) == mult - 1
@@ -493,7 +574,7 @@ def scaled(x, c):
 
 
 def test_integer_ops_against_plain_fraction_oracles():
-    # bracket, killing, kks_form and jordan_chevalley scale their inputs to integers once and build each
+    # bracket, killing, kks_form and jordan_chevalley read their inputs' integer forms and build each
     # result entry once: mixed denominators, a nilpotent in halves (its Horner denominator 1 is no
     # multiple of its scale 2), zero, and Jordan types in sixths, against products of Fractions
     rng = random.Random(25)
@@ -719,7 +800,7 @@ def jordan_type_by_sympy(m):
 def jordan_type_by_ranks(x):
     # blocks of size >= k at lam number rank^(k-1) - rank^k, with rank^0 = n and rank^mult = n - mult
     out = {}
-    d, a = linalg._integer_scaled(x.entries)
+    d, a = x.entries.scaled
     for lam, mult in rational_eigenvalues(x).items():
         ranks = [x.n] + list(_rank_sequence(a, int(d * lam), mult)) + [x.n - mult]
         at_least = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
@@ -784,9 +865,9 @@ def test_same_orbit_roots_a_shared_characteristic_polynomial_once(monkeypatch):
 
 
 def test_semisimplicity_jordan_parts_and_conjugacy_scale_their_input_once(monkeypatch):
-    # is_semisimple, jordan_chevalley and same_orbit scale their input matrices to ints in one call and
-    # stay in Z[t] from there: no later scaling sees a Fraction (poly_eval_matrix and the rank sequences
-    # get ints, and a squarefree or nilpotent input scales no polynomial), and none forms charpoly
+    # is_semisimple, jordan_chevalley and same_orbit read the integer form each element built once, with
+    # its entries, and stay in Z[t] from there: no scaling sees a Fraction (poly_eval_matrix and the rank
+    # sequences get ints, and a squarefree or nilpotent input scales no polynomial), and none forms charpoly
     rng = random.Random(30)
     sixth = Fraction(1, 6)
     pairs = []
@@ -812,15 +893,74 @@ def test_semisimplicity_jordan_parts_and_conjugacy_scale_their_input_once(monkey
     for x, y in pairs:
         scaled.clear()
         same_orbit(x, y)
-        assert scaled == [x.entries + y.entries]
-        scaled.clear()
+        assert scaled == []
         is_semisimple(x)
-        assert scaled == [x.entries]
+        assert scaled == []
         jordan_chevalley(x)  # no charpoly either; with a repeated root, the Newton map scales the inverse of Q'
     for x in squarefree + nilpotent:
         scaled.clear()
         jordan_chevalley(x)
-        assert scaled == [x.entries]
+        assert scaled == []
+
+
+def holds_rows_of(a, elements):
+    # whether the matrix a holds a Fraction and all rows of one of the elements, in order, as
+    # x.entries + y.entries or x.to_matrix() would
+    rows = [tuple(r) for r in a]
+    if all(type(v) is int for row in rows for v in row):
+        return False
+    return any(rows[i : i + z.n] == list(z.entries) for z in elements for i in range(len(rows) - z.n + 1))
+
+
+def test_no_sln_or_triples_op_scales_an_elements_entries(monkeypatch):
+    # every op reads the integer forms its elements built with their entries: linalg._integer_scaled
+    # still scales the Newton map's inverse of Q', invariant_factors' kernel vectors and the inverse of the
+    # Jacobson-Morozov chain basis, but never an element's rows
+    rng = random.Random(32)
+    sixth, third = Fraction(1, 6), Fraction(1, 3)
+    seen = []
+    integer_scaled = linalg._integer_scaled
+
+    def recorded(a):
+        seen.append(a)
+        return integer_scaled(a)
+
+    ops = []
+    for n in (2, 3, 5):
+        x, y, z = sixth * rand_jordan_type(rng, n), third * rand_traceless(rng, n), rand_fraction_traceless(rng, n)
+        g, gi = rand_unimodular(rng, n)
+        e = third * conjugate(g, gi, jordan_matrix(Partition((n,))))
+        t = jacobson_morozov_sln(e)
+        ops += [
+            (bracket, x, y),
+            (killing, x, y),
+            (kks_form, x, y, z),
+            (lambda a: trace_power(a, 3), x),
+            (is_nilpotent, x),
+            (is_nilpotent, e),
+            (is_semisimple, x),
+            (jordan_chevalley, x),
+            (same_orbit, x, conjugate(g, gi, x)),
+            (same_orbit, x, e),
+            (invariants_phi, x),
+            (rational_eigenvalues, x),
+            (centralizer_dim, z),
+            (orbit_dim, x),
+            (jacobson_morozov_sln, e),
+            (verify_matrix_triple, t),
+            (lambda a, b: a + b, x, y),
+            (lambda a, b: a - b, x, y),
+            (lambda a: third * a, x),
+            (lambda a: -a, x),
+        ]
+    monkeypatch.setattr(linalg, "_integer_scaled", recorded)
+    for op, *args in ops:
+        elements = [v for a in args for v in (a if isinstance(a, MatrixTriple) else [a])]
+        forms = [(z.entries.scaled[0], [list(row) for row in z.entries.scaled[1]]) for z in elements]
+        seen.clear()
+        op(*args)
+        assert not any(holds_rows_of(a, elements) for a in seen), (op, args)
+        assert [z.entries.scaled for z in elements] == forms, (op, args)  # the forms are shared, never written
 
 
 def test_same_orbit_dilation_of_nilpotent_part():
