@@ -4,13 +4,10 @@ Provides the bracket, the Killing form (2n times the trace form), the adjoint
 operator in a fixed basis, centralizer and orbit dimensions, semisimplicity
 and nilpotency tests, the Jordan decomposition, characteristic-polynomial
 invariants, a conjugacy test for rational spectra, and the orbit symplectic
-pairing.  All arithmetic is exact; there is no floating-point mode.  An
-element carries its integer form X = d*x, d the lcm of its denominators; the
-operations read it, compute in ints, in Z[t] from the characteristic
-polynomial on, and build each Fraction of a result once, with its form, the
-trace checked in ints.  Powers come from linalg's one power sequence, a rank
-sequence's from a primitive base, and the Jordan parts' from the
-characteristic polynomial.
+pairing.  All arithmetic is exact, with no floating-point mode.  An
+element carries its integer form X = d*x, d the lcm of its denominators: the
+operations compute on it in ints, in Z[t] from the characteristic polynomial
+on, and build each Fraction of a result once, with its form.
 
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
@@ -19,9 +16,9 @@ The adjoint operator is built from the entries of x, with no matrix products:
 [x, E_ij] is column i of x placed in column j minus row j of x placed in row
 i, and [x, E_ii - E_(i+1)(i+1)] is the difference of two such matrices.  The
 orbit pairing reads its Gram matrix off the same images through the trace
-form.  Centralizer and orbit dimensions never build ad(x): they are a closed
-form in the degrees of the invariant factors of x, and the traces of powers
-of ad(x) a closed form in the traces of powers of x.
+form.  Centralizer and orbit dimensions and the traces of powers of ad(x)
+never build ad(x): they are closed forms in the degrees of the invariant
+factors of x and in the traces of powers of x.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 
 from . import linalg
 from .linalg import Matrix, Poly
@@ -57,9 +54,11 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
         if type(entries) is not _Entries:  # else checked when built
             entries = _Entries(map(tuple, entries))
             for v in chain.from_iterable(entries):
-                if type(v) is not Fraction and type(v) is not int:  # _integer_scaled takes bools
+                if type(v) is not Fraction and type(v) is not int:  # bools and floats have ratios
                     raise TypeError(f"{v!r} is a {type(v).__name__}; give an exact int or Fraction")
-            d, a = linalg._integer_scaled(entries)
+            ratios = [[v.as_integer_ratio() for v in row] for row in entries]
+            d = math.lcm(*{q for row in ratios for _, q in row})
+            a = tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
             if tr := sum([row[i] for i, row in enumerate(a)]):
                 raise ValueError(f"trace must be zero, got {_text(Fraction(tr, d))}")
             entries.scaled = (d, a)
@@ -67,7 +66,7 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
 
     @classmethod
     def from_rows(cls, rows) -> "SlnElement":
-        entries = [[linalg.frac(x) for x in row] for row in rows]
+        entries = [[x if type(x) is Fraction else linalg.frac(x) for x in row] for row in rows]
         return cls(len(entries), entries)
 
     @classmethod
@@ -82,10 +81,11 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
 
     def __add__(self, other: "SlnElement") -> "SlnElement":
         d, (a, b) = _scaled(self, other)
-        return _from_ints([[u + v for u, v in zip(r, s)] for r, s in zip(a, b)], d)
+        return _from_ints([list(map(add, r, s)) for r, s in zip(a, b)], d)
 
     def __sub__(self, other: "SlnElement") -> "SlnElement":
-        return self + -other
+        d, (a, b) = _scaled(self, other)
+        return _from_ints([list(map(sub, r, s)) for r, s in zip(a, b)], d)
 
     def __rmul__(self, scalar) -> "SlnElement":
         s = linalg.frac(scalar)
@@ -99,7 +99,7 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
 
 
 class _Entries(tuple):
-    """Row tuples with their integer form scaled = (d, d*rows), d > 0 coprime to the content."""
+    """Row tuples with their integer form scaled = (d, d*rows) in row tuples, d > 0 prime to its content."""
 
 
 def _text(v) -> str:
@@ -125,17 +125,14 @@ class JordanPair(namedtuple("JordanPair", "semisimple_part nilpotent_part semisi
 
 
 def _from_ints(m: list[list[int]], den: int) -> SlnElement:
-    """The element m/den, den > 0, of a square integer m: one Fraction per nonzero entry, its form in lowest terms.
-
-    Its callers form traceless results: a nonzero trace, checked in ints, is a bug.
-    """
+    """The element m/den of a square integer m, den > 0, its form in lowest terms; a nonzero trace is a bug."""
     if sum([row[i] for i, row in enumerate(m)]):
         raise RuntimeError("an integer result has a nonzero trace; this is a bug")
     if (g := math.gcd(den, *chain.from_iterable(m))) > 1:
         den, m = den // g, [[v // g for v in row] for row in m]
     zero = Fraction(0)
     entries = _Entries([tuple([Fraction(v, den) if v else zero for v in row]) for row in m])
-    entries.scaled = (den, m)
+    entries.scaled = (den, tuple(map(tuple, m)))
     return tuple.__new__(SlnElement, (len(m), entries))
 
 
@@ -164,7 +161,7 @@ def bracket(x: SlnElement, y: SlnElement) -> SlnElement:
     n = x.n
     d, (a, b) = _scaled(x, y)
     ab, ba = linalg._int_mul(a, b, n), linalg._int_mul(b, a, n)
-    return _from_ints([[u - v for u, v in zip(r, s)] for r, s in zip(ab, ba)], d * d)
+    return _from_ints([list(map(sub, r, s)) for r, s in zip(ab, ba)], d * d)
 
 
 def killing(x: SlnElement, y: SlnElement) -> Fraction:
@@ -310,7 +307,7 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
 def rational_eigenvalues(x: SlnElement) -> dict[Fraction, int]:
     """Eigenvalues with multiplicity; raises unless the spectrum is rational."""
     d, a = x.entries.scaled
-    return {mu / d: mult for mu, mult in _spectrum(linalg.charpoly(a)).items()}
+    return {mu / d: mult for mu, mult in _spectrum(linalg._int_charpoly(a)[0]).items()}
 
 
 def _spectrum(p: Poly) -> dict[Fraction, int]:
@@ -331,7 +328,7 @@ def _rank_sequence(a: list[list[int]], mu: int, mult: int):
     number of blocks of size at least k is rank^(k-1) - rank^k.  mu is a
     rational root of the monic characteristic polynomial of a, so an integer.
     The powers are those of the primitive base (a - mu I)/g, g the gcd of its
-    entries, of the ranks of x - lam I; the k-th power would otherwise carry g^k.
+    entries; the k-th power would otherwise carry g^k.
     """
     base = [[v - mu * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
     g = math.gcd(*chain.from_iterable(base)) or 1  # x = lam I is x = 0, a zero base

@@ -168,6 +168,7 @@ def assert_form(z, want):
     # z's integer form is normalized, equals the plain one of the oracle rows want, and survives == and pickle
     d, a = z.entries.scaled
     assert d > 0 and all(type(v) is int for row in a for v in row)
+    assert type(a) is tuple and all(type(row) is tuple for row in a)  # no kernel can write the form
     assert math.gcd(d, *chain.from_iterable(a)) == 1
     assert (d, [list(row) for row in a]) == plain_form(want) and z.entries == tuple(map(tuple, want))
     assert all(type(row) is tuple for row in z.entries)
@@ -960,7 +961,7 @@ def test_no_sln_or_triples_op_scales_an_elements_entries(monkeypatch):
         seen.clear()
         op(*args)
         assert not any(holds_rows_of(a, elements) for a in seen), (op, args)
-        assert [z.entries.scaled for z in elements] == forms, (op, args)  # the forms are shared, never written
+        assert [(z.entries.scaled[0], [list(row) for row in z.entries.scaled[1]]) for z in elements] == forms, (op, args)
 
 
 def test_same_orbit_dilation_of_nilpotent_part():
