@@ -25,6 +25,7 @@ class Partition(namedtuple("Partition", "parts")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, parts: tuple[int, ...]):
+        parts = tuple(parts)  # a list would compare unequal to the tuple and leave the partition unhashable
         if not parts:
             raise ValueError("a partition needs at least one part")
         for p in parts:
@@ -132,6 +133,9 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
 
     True iff rank(J_lam^k) <= rank(J_mu^k) for 1 <= k < n, with ranks computed
     from the actual matrix powers; independent of the dominance shortcut.
+    The powers stop at the first k where J_mu^k = 0 and the check passed:
+    rank(J_lam^k) is then 0, so J_lam^k = 0 too, and every later condition
+    reads 0 <= 0.
     """
     from . import linalg
 
@@ -144,8 +148,11 @@ def closure_leq_rank(lam: Partition, mu: Partition) -> bool:
         if k > 1:
             pa = linalg.mat_mul(pa, a)
             pb = linalg.mat_mul(pb, b)
-        if linalg.rank(pa) > linalg.rank(pb):
+        ra, rb = linalg.rank(pa), linalg.rank(pb)
+        if ra > rb:
             return False
+        if not rb:
+            return True
     return True
 
 

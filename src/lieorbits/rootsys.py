@@ -70,6 +70,7 @@ class Root(namedtuple("Root", "coeffs")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, coeffs: Coeffs):
+        coeffs = tuple(coeffs)  # a list would compare unequal to the tuple and leave the root unhashable
         if not any(coeffs):
             raise ValueError("zero vector is not a root")
         if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):

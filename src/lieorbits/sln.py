@@ -344,7 +344,10 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
     spectrum fixes the characteristic polynomial of X, so Y's roots are
     sought only when its polynomial differs, to raise on an irrational one.
     The rank sequences are compared power by power, so the first difference
-    ends the test.
+    ends the test.  An eigenvalue of multiplicity mult is left at the first
+    power where both ranks are n - mult, the index of x - lam I on that
+    eigenspace: the ranks fall strictly until then and stay there after, so
+    every later pair is equal.
     """
     a, b = _scaled(x, y)[1]
     p = linalg._int_charpoly(a)[0]
@@ -353,8 +356,11 @@ def same_orbit(x: SlnElement, y: SlnElement) -> bool:
         _spectrum(py)
         return False
     for mu, mult in ex.items():
-        if any(r != s for r, s in zip(_rank_sequence(a, int(mu), mult), _rank_sequence(b, int(mu), mult))):
-            return False
+        for r, s in zip(_rank_sequence(a, int(mu), mult), _rank_sequence(b, int(mu), mult)):
+            if r != s:
+                return False
+            if r == x.n - mult:
+                break
     return True
 
 

@@ -19,12 +19,14 @@ nonpositive combination of the simple roots (Kostant, Amer. J. Math. 81,
 Jacobson-Morozov takes its chain tops from one elimination of their
 bottoms: a candidate top of a chain of length k is a basis vector v of
 ker e^k, its bottom is e^(k-1) v, and the tops are the candidates whose
-bottoms one elimination keeps, stages k = d, ..., 1 in order.  Since
+bottoms one elimination keeps, stages k = d, d - 1, ... in order.  Since
 e^(k-1) maps ker e^k onto ker e ∩ im e^(k-1) with kernel ker e^(k-1), and the
 height-k layer of the longer chains to their bottoms, v is independent of
 ker e^(k-1), that layer and the earlier tops of its stage exactly when its
 bottom is independent of the earlier pivots.  The chains are independent
-because their bottoms are.  h and y are integer products over one scaling
+because their bottoms are.  So the stages stop once the chains hold n
+vectors: those span the space, and a top of a later stage would start a
+chain independent of them.  h and y are integer products over one scaling
 of the inverse chain basis, checked in ints by the relation test that
 verify_matrix_triple runs, before any Fraction is built.  The construction
 and the check read the integer forms that the elements carry.
@@ -124,7 +126,8 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
 
     The chains are built in ints from the powers of E = d*e (e's integer form,
     d the lcm of its denominators), which decide nilpotency (ValueError if e^n
-    is not zero).  For k = m, ..., 1 (m the nilpotency index) the integer
+    is not zero).  For k = m, m - 1, ... (m the nilpotency index), until the
+    chains found have n vectors in all, the integer
     kernel basis of E^k, read off its fraction-free echelon (the last pivot
     times the basis with a unit at each free column), gives the candidate tops
     of length k, and one product with E^(k-1) their bottoms.  The tops are the
@@ -164,6 +167,8 @@ def jacobson_morozov_sln(e: SlnElement) -> MatrixTriple:
         basis = linalg._Echelon(powers[k]).kernel(n)  # scaled by the last pivot, which changes neither h nor f
         bottoms = linalg._int_mul(basis, transposed[k - 1], n)
         tops += [(v, k) for v, b in zip(basis, bottoms) if span.insert(b)]
+        if sum([s for _, s in tops]) == n:  # the chains span the space
+            break
     if sum([s for _, s in tops]) != n:
         raise RuntimeError("Jordan chain extraction did not exhaust the space")
     # E^k v for every top v of a chain longer than k, from one product per power, in top order

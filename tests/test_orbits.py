@@ -2,10 +2,12 @@ import gc
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import ad_nullity, conjugate, rand_partition, rand_unimodular
+from lieorbits import linalg
 from lieorbits.cli import main
 from lieorbits.orbits import (
     OrbitPoset,
@@ -30,6 +32,15 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+def test_partition_stores_list_input_as_a_tuple():
+    p = Partition([2, 1])
+    assert p == Partition((2, 1)) and hash(p) == hash(Partition((2, 1)))
+    assert type(p.parts) is tuple and len({p, Partition((2, 1))}) == 1
+    assert str(p) == "2+1" and p.n == 3
+    with pytest.raises(ValueError):
+        Partition([1, 2])
 
 
 def test_partition_refuses_parts_that_are_not_ints():
@@ -158,10 +169,25 @@ def test_closure_rank_oracle_examples():
         closure_leq_rank(Partition((2,)), Partition((3,)))
 
 
-def test_closure_rank_oracle_equals_dominance():
-    for n in range(1, 8):
+def jordan_power_rank(lam, k):
+    # rank(J_lam^k): a Jordan block of size p has rank max(p - k, 0) in its k-th power
+    return sum(max(p - k, 0) for p in lam.parts)
+
+
+def test_closure_rank_oracle_equals_dominance(monkeypatch):
+    # the rank conditions against dominance and against the closed form of the ranks; the powers stop
+    # where mu's vanish, so no side forms more than max(lam_1, mu_1) - 1 of them
+    products = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(b) or mat_mul(a, b))
+    for n in range(1, 11):
         for x, y in itertools.product(partitions(n), repeat=2):
-            assert closure_leq_rank(x, y) == dominance_leq(x, y)
+            products.clear()
+            got = closure_leq_rank(x, y)
+            assert got == dominance_leq(x, y)
+            assert got == all(jordan_power_rank(x, k) <= jordan_power_rank(y, k) for k in range(1, n))
+            sides = Counter(map(id, products))  # the right factor is a side's J, the same list at every power
+            assert len(sides) <= 2 and max(sides.values(), default=0) <= max(x.parts[0], y.parts[0]) - 1, (x, y)
 
 
 def test_hasse_diagram_structure():

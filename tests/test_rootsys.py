@@ -163,6 +163,14 @@ def test_root_type_invariants():
         Root((1, -1))
 
 
+def test_root_stores_list_input_as_a_tuple():
+    r = Root([1, 0])
+    assert r == Root((1, 0)) and hash(r) == hash(Root((1, 0)))
+    assert type(r.coeffs) is tuple and len({r, Root((1, 0))}) == 1
+    with pytest.raises(ValueError):
+        Root([1, -1])
+
+
 def test_weight_leq_examples():
     a2 = build_root_system(CartanType("A", 2))
     assert weight_leq(a2, (1, 0), (1, 0))

@@ -990,20 +990,24 @@ def rand_jordan_pair(rng, n):
         same_length = [q for q in partitions(m) if len(q.parts) == len(lam.parts)]
         types_y.append(rng.choice(same_length) if rng.random() < 0.7 else rand_partition(rng, m))
 
-    def build(types):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        off = 0
-        for v, lam in zip(values, types):
-            for p in lam.parts:
-                for i in range(p):
-                    rows[off + i][off + i] = v - shift
-                    if i + 1 < p:
-                        rows[off + i][off + i + 1] = Fraction(1)
-                off += p
-        g, gi = rand_unimodular(rng, n)
-        return conjugate(g, gi, SlnElement.from_rows(rows))
+    return tuple(jordan_type_matrix(rng, dict(zip(values, types))) for types in (types_x, types_y))
 
-    return build(types_x), build(types_y)
+
+def jordan_type_matrix(rng, types):
+    """A conjugate of the Jordan matrix with blocks of the partition types[v] at each eigenvalue v, shifted to trace 0."""
+    n = sum(lam.n for lam in types.values())
+    shift = Fraction(sum(v * lam.n for v, lam in types.items()), n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for v, lam in types.items():
+        for p in lam.parts:
+            for i in range(p):
+                rows[off + i][off + i] = v - shift
+                if i + 1 < p:
+                    rows[off + i][off + i + 1] = Fraction(1)
+            off += p
+    g, gi = rand_unimodular(rng, n)
+    return conjugate(g, gi, SlnElement.from_rows(rows))
 
 
 def test_same_orbit_against_full_rank_sequence():
@@ -1016,6 +1020,41 @@ def test_same_orbit_against_full_rank_sequence():
         assert same_orbit(x, y) is want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_same_orbit_tells_jordan_types_apart_at_the_index():
+    # (3, 1) and (2, 2) have ranks 2, 1 and 2, 0: they differ only at k = 2, where the (2, 2) side has
+    # reached n - mult and the (3, 1) side has not, so the test must not leave the eigenvalue on one side
+    p31, p22 = Partition((3, 1)), Partition((2, 2))
+    rng = random.Random(31)
+    for rest in ({}, {-2: Partition((2,))}, {-2: Partition((1, 1))}):
+        x, y = (jordan_type_matrix(rng, {1: lam, **rest}) for lam in (p31, p22))
+        assert not same_orbit(x, y) and not same_orbit(y, x)
+        x2, y2 = (jordan_type_matrix(rng, {**rest, 1: lam}) for lam in (p31, p22))  # the other block order
+        assert not same_orbit(x2, y) and not same_orbit(y2, x)
+        assert same_orbit(x, x2) and same_orbit(y2, y)
+
+
+def test_same_orbit_leaves_an_eigenvalue_at_its_index(monkeypatch):
+    # a conjugate pair: the ranks at lam reach n - mult at the largest block size, so each eigenvalue
+    # costs two ranks for each power up to min(index, mult - 1)
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
+    rng = random.Random(97)
+    seen = set()
+    for n in range(2, 10):
+        for _ in range(6):
+            mults = rand_partition(rng, n).parts
+            types = {v: rand_partition(rng, m) for v, m in zip(rng.sample(range(-5, 5), len(mults)), mults)}
+            x = jordan_type_matrix(rng, types)
+            g, gi = rand_unimodular(rng, n)
+            calls.clear()
+            assert same_orbit(x, conjugate(g, gi, x))
+            want = [2 * min(lam.parts[0], lam.n - 1) for lam in types.values()]
+            assert len(calls) == sum(want), (n, types)
+            seen.update(w < 2 * (lam.n - 1) for w, lam in zip(want, types.values()))
+    assert seen == {True, False}  # both stops: at the index, and at mult - 1
 
 
 def test_kks_examples():

@@ -258,6 +258,34 @@ def test_jacobson_morozov_equals_the_per_stage_oracle():
         assert ([list(row) for row in t.h.entries], [list(row) for row in t.y.entries]) == jm_by_stages(e)
 
 
+def test_jacobson_morozov_stops_once_the_chains_cover_the_space(monkeypatch):
+    # the stages run from the nilpotency index down to the smallest block size, after which the chains
+    # hold n vectors; a stage eliminates a square power E^k (the span of bottoms starts empty, and the
+    # chain-basis inverse eliminates [G | I])
+    stages = []
+    echelon = linalg._Echelon
+
+    def counting(m=()):
+        if m and len(m) == len(m[0]):
+            stages.append(m)
+        return echelon(m)
+
+    monkeypatch.setattr(linalg, "_Echelon", counting)
+    g, gi = rand_unimodular(random.Random(7), 8)
+    e = conjugate(g, gi, jordan_matrix(Partition((4, 4))))
+    assert verify_matrix_triple(jacobson_morozov_sln(e))
+    assert len(stages) == 1
+    rng = random.Random(103)
+    for n in range(1, 8):
+        for lam in partitions(n):
+            g, gi = rand_unimodular(rng, n)
+            e = conjugate(g, gi, jordan_matrix(lam))
+            stages.clear()
+            t = jacobson_morozov_sln(e)
+            assert t.x == e and verify_matrix_triple(t)
+            assert len(stages) == (lam.parts[0] - lam.parts[-1] + 1 if lam.parts[0] > 1 else 0), lam
+
+
 def test_jacobson_morozov_at_the_matrix_limit_is_bounded():
     n = 40
     rng = random.Random(1)
