@@ -41,24 +41,19 @@ def frac(x) -> Fraction:
     """Coerce an int, string ("p" or "p/q") or Fraction to Fraction.
 
     A float raises TypeError: Fraction would take its binary value, so 0.1
-    would become 3602879701896397/36028797018963968.
+    would become 3602879701896397/36028797018963968.  So does a bool, which
+    Fraction would take as 1 or 0.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError(f"{x!r} is a float; give an exact int, string or Fraction")
+    if isinstance(x, float) or type(x) is bool:  # bool has no subclasses
+        raise TypeError(f"{x!r} is a {type(x).__name__}; give an exact int, string or Fraction")
     return Fraction(x)
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

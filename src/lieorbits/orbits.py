@@ -58,6 +58,8 @@ class OrbitPoset(namedtuple("OrbitPoset", "n nodes covers")):
 
 def partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order."""
+    if type(n) is not int:  # bool too: True would give the partitions of 1
+        raise TypeError(f"n {n!r} is a {type(n).__name__}; give an int")
     if n < 1:
         raise ValueError("n must be at least 1")
     out: list[Partition] = []

@@ -222,6 +222,8 @@ def build_root_system(ctype: CartanType) -> RootSystem:
 
 
 def _check_index(rs: RootSystem, i: int) -> int:
+    if type(i) is not int:  # bool too: True would pass as index 1
+        raise TypeError(f"simple-root index {i!r} is a {type(i).__name__}; give an int")
     if not 1 <= i <= rs.rank:
         raise IndexError(f"simple-root index {i} out of range 1..{rs.rank}")
     return i - 1
@@ -275,7 +277,12 @@ def weight_leq(rs: RootSystem, beta, gamma) -> bool:
     beta, gamma = _check_length(rs, tuple(beta)), _check_length(rs, tuple(gamma))
     for b, g in zip(beta, gamma):
         diff = g - b
-        if diff < 0 or diff.denominator != 1:
+        if type(diff) is not int:
+            if type(diff) is not Fraction:  # a float has no exact difference
+                raise TypeError(f"coordinates {b!r} and {g!r} give a {type(diff).__name__}; give ints or Fractions")
+            if diff.denominator != 1:
+                return False
+        if diff < 0:
             return False
     return True
 

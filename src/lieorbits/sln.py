@@ -12,13 +12,13 @@ on, and build each Fraction of a result once, with its form.
 The fixed basis is: the elementary matrices E_ij with i != j in row-major
 order, followed by the n-1 consecutive diagonal differences E_ii - E_(i+1)(i+1).
 
-The adjoint operator is built from the entries of x, with no matrix products:
-[x, E_ij] is column i of x placed in column j minus row j of x placed in row
-i, and [x, E_ii - E_(i+1)(i+1)] is the difference of two such matrices.  The
-orbit pairing reads its Gram matrix off the same images through the trace
-form.  Centralizer and orbit dimensions and the traces of powers of ad(x)
-never build ad(x): they are closed forms in the degrees of the invariant
-factors of x and in the traces of powers of x.
+The adjoint operator is a closed form in the integer form X = d*x, written
+straight into coordinates: [X, E_ij] is column i of X placed in column j
+minus row j of X placed in row i, and [X, E_ii - E_(i+1)(i+1)] is the
+difference of two such images.  The orbit pairing reads its Gram matrix off
+the same columns through the trace form.  Centralizer and orbit dimensions
+and the traces of powers of ad(x) never build ad(x): they are closed forms
+in the degrees of the invariant factors of x and in the traces of powers of x.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
     def __new__(cls, n: int, entries):
+        if type(n) is not int:  # bool too: True would pass as n = 1 and print as True
+            raise TypeError(f"n {n!r} is a {type(n).__name__}; give an int")
         if n < 1:
             raise ValueError("n must be at least 1")
         if len(entries) != n or any(len(row) != n for row in entries):
@@ -77,7 +79,7 @@ class SlnElement(namedtuple("SlnElement", "n entries")):
         return [list(row) for row in self.entries]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries.scaled[1]))
 
     def __add__(self, other: "SlnElement") -> "SlnElement":
         d, (a, b) = _scaled(self, other)
@@ -145,17 +147,6 @@ def _scaled(x: SlnElement, y: SlnElement):
     return d, [a if e == d else [[v * (d // e) for v in row] for row in a] for e, a in forms]
 
 
-def coords_in_basis(m: Matrix) -> list[Fraction]:
-    """Coordinates of a traceless matrix over the fixed basis."""
-    n = len(m)
-    out = [m[i][j] for i in range(n) for j in range(n) if i != j]
-    acc = Fraction(0)
-    for i in range(n - 1):
-        acc += m[i][i]
-        out.append(acc)
-    return out
-
-
 def bracket(x: SlnElement, y: SlnElement) -> SlnElement:
     """The commutator xy - yx: (XY - YX)/d^2 for X, Y = d*(x, y)."""
     n = x.n
@@ -170,38 +161,35 @@ def killing(x: SlnElement, y: SlnElement) -> Fraction:
     return Fraction(2 * x.n * sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b)))), d * d)
 
 
-def _add_bracket_unit(m: Matrix, a: Matrix, i: int, j: int, sign: int) -> None:
-    """Add sign * [a, E_ij] into m: column i of a into column j, row j of a out of row i."""
-    for r, row in enumerate(a):
-        m[r][j] += sign * row[i]
-    for c, v in enumerate(a[j]):
-        m[i][c] -= sign * v
+def _ad_columns(x: SlnElement) -> list[list[int]]:
+    """Column b of ad(X), X = d*x, over the fixed basis: the coordinates of [X, b], in ints.
 
-
-def _ad_images(x: SlnElement) -> list[Matrix]:
-    """The matrices [x, b] for b running over the fixed basis, in basis order."""
-    n = x.n
-    a = x.to_matrix()
-    out = []
+    A traceless m has coordinates m_kl, k != l, row-major (E_kl is number
+    k(n-1) + l - [l > k]), then the partial sums of its diagonal.  [X, E_ij]
+    is column i of X in column j minus row j of X in row i, with diagonal
+    partial sums X_ji([j <= k] - [i <= k]), zero for i = j; the image of
+    E_mm - E_(m+1)(m+1) is the difference of two such images.
+    """
+    n, a = x.n, x.entries.scaled[1]
+    w = n - 1
+    images = []  # [X, E_ij] for every i, j, row-major
     for i in range(n):
         for j in range(n):
-            if i != j:
-                m = linalg.zeros(n, n)
-                _add_bracket_unit(m, a, i, j, 1)
-                out.append(m)
-    for i in range(n - 1):
-        m = linalg.zeros(n, n)
-        _add_bracket_unit(m, a, i, i, 1)
-        _add_bracket_unit(m, a, i + 1, i + 1, -1)
-        out.append(m)
-    return out
+            col = [0] * (n * n - 1)
+            col[i * w : i * w + w] = [-v for l, v in enumerate(a[j]) if l != i]
+            for k in range(n):
+                if k != j:
+                    col[k * w + j - (j > k)] += a[k][i]
+            col[n * w + min(i, j) : n * w + max(i, j)] = [a[j][i] if j < i else -a[j][i]] * abs(i - j)
+            images.append(col)
+    cols = [images[i * n + j] for i in range(n) for j in range(n) if i != j]
+    return cols + [list(map(sub, images[m * (n + 1)], images[m * (n + 1) + n + 1])) for m in range(w)]
 
 
 def ad_matrix(x: SlnElement) -> Matrix:
-    """The matrix of y -> [x, y] over the fixed basis; (n^2-1) square."""
-    cols = [coords_in_basis(m) for m in _ad_images(x)]
-    dim = len(cols)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    """The matrix of y -> [x, y] over the fixed basis; (n^2-1) square: ad(X)/d for X = d*x."""
+    d, zero = x.entries.scaled[0], Fraction(0)
+    return [[Fraction(v, d) if v else zero for v in row] for row in zip(*_ad_columns(x))]
 
 
 def centralizer_dim(x: SlnElement) -> int:
@@ -295,6 +283,8 @@ def trace_power(x: SlnElement, k: int) -> Fraction:
     tr(ad(x)^k) = sum_m (-1)^m C(k,m) tr(x^(k-m)) tr(x^m), with tr(x^0) = n
     and tr(x^m) = tr(X^m)/d^m on the integer powers of X = d*x.
     """
+    if type(k) is not int:  # bool too: True would give tr(ad x)
+        raise TypeError(f"k {k!r} is a {type(k).__name__}; give an int")
     if k < 1:
         raise ValueError("k must be at least 1")
     d, a = x.entries.scaled
@@ -372,14 +362,15 @@ def kks_form(x: SlnElement, y: SlnElement, z: SlnElement) -> Fraction:
 def kks_matrix(x: SlnElement) -> Matrix:
     """Gram matrix of the pairing at x over the fixed basis.
 
-    <x,[y,z]> = <[x,y],z> = 2n tr([x,y] z): against E_kl that is 2n [x,y]_lk,
-    and against E_kk - E_(k+1)(k+1) it is 2n ([x,y]_kk - [x,y]_(k+1)(k+1)).
+    <x,[y,z]> = <[x,y],z> = 2n tr([x,y] z): for m = [X,y], X = d*x, it is 2n m_lk/d against E_kl,
+    and 2n (2s_k - s_(k-1) - s_(k+1))/d against E_kk - E_(k+1)(k+1), s the diagonal's partial sums.
     """
-    n = x.n
+    n, d, zero = x.n, x.entries.scaled[0], Fraction(0)
+    w = n - 1
+    swap = [l * w + k - (k > l) for k in range(n) for l in range(n) if k != l]  # E_kl pairs with E_lk
     rows = []
-    for m in _ad_images(x):
-        row = [2 * n * m[l][k] for k in range(n) for l in range(n) if k != l]
-        row.extend(2 * n * (m[k][k] - m[k + 1][k + 1]) for k in range(n - 1))
-        rows.append(row)
+    for col in _ad_columns(x):
+        s = [0, *col[n * w :], 0]
+        row = [col[t] for t in swap] + [2 * s[k] - s[k - 1] - s[k + 1] for k in range(1, n)]
+        rows.append([Fraction(2 * n * v, d) if v else zero for v in row])
     return rows
-

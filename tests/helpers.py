@@ -387,6 +387,18 @@ def rand_unimodular(rng: random.Random, n: int, shears: int | None = None):
     return g, gi
 
 
+def coords_in_basis(m) -> list[Fraction]:
+    """Coordinates over sl_n's fixed basis: the off-diagonal entries row-major, then the diagonal's partial sums.
+
+    A matrix with a nonzero trace has none, and is refused rather than projected onto sl_n.
+    """
+    n = len(m)
+    if sum(m[i][i] for i in range(n)):
+        raise ValueError("the matrix has a nonzero trace; it has no coordinates over the basis of sl_n")
+    diagonal = itertools.accumulate(m[i][i] for i in range(n - 1))
+    return [m[i][j] for i in range(n) for j in range(n) if i != j] + [Fraction(v) for v in diagonal]
+
+
 def ad_nullity(x: SlnElement) -> int:
     """dim of the centralizer as the nullity of the (n^2-1)-square ad(x): the slow oracle."""
     return (x.n * x.n - 1) - linalg.rank(ad_matrix(x))

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import ad_nullity, conjugate, rand_partition, rand_unimodular
+from helpers import ad_nullity, conjugate, rand_partition, rand_unimodular, time_bound
 from lieorbits import linalg
 from lieorbits.cli import main
 from lieorbits.orbits import (
@@ -22,6 +22,7 @@ from lieorbits.orbits import (
     regular_orbit,
     transpose,
 )
+from lieorbits.rootsys import CartanType, build_root_system
 from lieorbits.sln import centralizer_dim, orbit_dim
 
 
@@ -156,6 +157,75 @@ def test_orbit_dim_reaches_n20():
             x = conjugate(g, gi, jordan_matrix(p))
             assert orbit_dim(x) == orbit_dim_partition(p)
             assert centralizer_dim(x) == (n * n - 1) - orbit_dim_partition(p)
+
+
+def epsilon_simple_roots(family, r):
+    """Bourbaki's simple roots of A_r (in r + 1 coordinates), B_r, C_r and D_r in the epsilon basis."""
+    dim = r + 1 if family == "A" else r
+    unit = [[int(i == k) for k in range(dim)] for i in range(dim)]
+    out = [[u - v for u, v in zip(unit[i], unit[i + 1])] for i in range(r if family == "A" else r - 1)]
+    if family == "B":
+        out.append(unit[r - 1])
+    elif family == "C":
+        out.append([2 * v for v in unit[r - 1]])
+    elif family == "D":
+        out.append([u + v for u, v in zip(unit[r - 2], unit[r - 1])])
+    return out
+
+
+def admissible(family, parts):
+    """Collingwood-McGovern 5.1: in so_N every even part, in sp_N every odd part, has even multiplicity."""
+    if family == "A":
+        return True
+    odd = family == "C"
+    return all(parts.count(p) % 2 == 0 for p in set(parts) if p % 2 == odd)
+
+
+def dim_by_closed_form(family, r, parts):
+    """Collingwood-McGovern 6.1.3: n^2 - sum (lambda^T_i)^2 in type A; for so and sp, half of the sum, shifted
+    by half the number of odd parts."""
+    squares = sum(sum(p >= i for p in parts) ** 2 for i in range(1, parts[0] + 1))
+    odd = sum(p % 2 for p in parts)
+    if family == "A":
+        return (r + 1) ** 2 - squares
+    top = {"B": 2 * r * r + r, "C": 2 * r * r + r, "D": 2 * r * r - r}[family]
+    return top - (squares + (odd if family == "C" else -odd)) // 2
+
+
+def test_weighted_dynkin_diagram_dimension_equals_the_closed_forms():
+    # dim O = dim g - dim g_0 - dim g_1 for g_i spanned by the roots with alpha(h) = i (and the Cartan in g_0),
+    # h the dominant sl2 weights of the partition: the root side against the closed forms and, in type A,
+    # against orbit_dim_partition
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    seen, orbits = 0, 0
+    with time_bound(2.0, "weighted Dynkin diagrams of A2-A10, B2-B10, C2-C10, D4-D10"):
+        for family, ranks in (("A", range(2, 11)), ("B", range(2, 11)), ("C", range(2, 11)), ("D", range(4, 11))):
+            for r in ranks:
+                rs = build_root_system(CartanType(family, r))
+                simple = epsilon_simple_roots(family, r)
+                cartan = [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]  # the repo's numbering
+                assert cartan == [list(row) for row in rs.cartan_matrix]
+                size = {"A": r + 1, "B": 2 * r + 1, "C": 2 * r, "D": 2 * r}[family]
+                for p in partitions(size):
+                    parts = p.parts
+                    if not admissible(family, parts):
+                        continue
+                    weights = sorted((q - 1 - 2 * k for q in parts for k in range(q)), reverse=True)
+                    h = weights if family == "A" else weights[:r]
+                    labels = [dot(a, h) for a in simple]
+                    assert set(labels) <= {0, 1, 2}
+                    seen += 1
+                    diagrams = [labels]
+                    if family == "D" and all(q % 2 == 0 for q in parts):  # very even: two orbits, swapped at the fork
+                        diagrams.append(labels[:-2] + labels[:-3:-1])
+                    for w in diagrams:
+                        values = Counter(sum(c * v for c, v in zip(root.coeffs, w)) for root in rs.roots)
+                        dim = rs.dim_g - (r + values[0]) - values[1]
+                        assert dim == dim_by_closed_form(family, r, parts), (family, r, parts)
+                        if family == "A":
+                            assert dim == orbit_dim_partition(p)
+                        orbits += 1
+    assert (seen, orbits) == (1811, 1828)  # 17 very even partitions of D4-D10 give two orbits each
 
 
 def test_closure_rank_oracle_examples():

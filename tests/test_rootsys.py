@@ -10,6 +10,7 @@ from helpers import longest_word_by_rho, roots_by_reflection_closure, symmetrize
 
 from lieorbits.cli import main
 from lieorbits.minorbit import min_orbit_report
+from lieorbits.orbits import hasse_diagram, partitions
 from lieorbits.rootsys import (
     CartanType,
     ReducedWord,
@@ -24,6 +25,7 @@ from lieorbits.rootsys import (
     reflect_root,
     weight_leq,
 )
+from lieorbits.sln import SlnElement, trace_power
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 8)]
@@ -148,6 +150,34 @@ def test_cartan_type_rank_must_be_an_int():
     with pytest.raises(TypeError):
         CartanType("A", 2)._replace(rank=2.0)
     assert CartanType("A", 2).rank == 2
+
+
+def test_bools_are_refused_as_indices_and_sizes():
+    # True == 1 would pass as the first simple root, as n = 1 and as k = 1, and print as True
+    rs = build_root_system(CartanType("B", 3))
+    with pytest.raises(TypeError, match="^simple-root index True is a bool; give an int$"):
+        coroot_pairing(rs, True, (1, 0, 0))
+    for call in (
+        lambda: parabolic_data(rs, {True}),
+        lambda: dual_subset(rs, {True, 2}),
+        lambda: reflect_root(rs, True, rs.positive_roots[0]),
+        lambda: apply_word_root(rs, ReducedWord((True,)), rs.positive_roots[0]),
+        lambda: coroot_pairing(rs, 1.0, (1, 0, 0)),
+        lambda: partitions(True),
+        lambda: hasse_diagram(True),
+        lambda: partitions(2.0),
+        lambda: trace_power(SlnElement.from_rows([[1, 0], [0, -1]]), True),
+        lambda: SlnElement(True, ((0,),)),
+    ):
+        with pytest.raises(TypeError, match="give an int$"):
+            call()
+    with pytest.raises(TypeError, match="give ints or Fractions$"):
+        weight_leq(rs, (0, 0, 0.5), (1, 0, 0))
+    with pytest.raises(TypeError, match="give ints or Fractions$"):
+        weight_leq(rs, (0, 0, 0), (1, 0, -0.5))
+    assert coroot_pairing(rs, 1, (1, 0, 0)) == 2 and parabolic_data(rs, {1}).subset == frozenset({1})
+    assert len(partitions(1)) == 1 and trace_power(SlnElement.from_rows([[1, 0], [0, -1]]), 1) == 0
+    assert weight_leq(rs, (0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
 
 
 def test_invalid_ranks_rejected():

@@ -21,6 +21,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from helpers import (
     ad_nullity,
     conjugate,
+    coords_in_basis,
     mat_vec,
     naive_rank,
     plain_jordan_witness,
@@ -47,7 +48,6 @@ from lieorbits.sln import (
     ad_matrix,
     bracket,
     centralizer_dim,
-    coords_in_basis,
     invariants_phi,
     is_nilpotent,
     is_semisimple,
@@ -60,6 +60,7 @@ from lieorbits.sln import (
     same_orbit,
     trace_power,
 )
+from lieorbits.ssorbits import GaussianRational, TorusElement
 from lieorbits.triples import MatrixTriple, jacobson_morozov_sln, verify_matrix_triple
 
 X = SlnElement.from_rows([[0, 1], [0, 0]])
@@ -136,7 +137,22 @@ def test_element_refuses_entries_that_are_not_int_or_fraction():
         SlnElement(1, (("0",),))
     with pytest.raises(TypeError, match="is a float"):
         SlnElement.from_rows([[0.5, 0], [0, -0.5]])
+    # frac refuses a bool too, which Fraction would take as 1 or 0
+    with pytest.raises(TypeError, match="^True is a bool; give an exact int, string or Fraction$"):
+        SlnElement.from_rows([[True, 0], [0, -1]])
+    for scalar in (True, False):
+        with pytest.raises(TypeError, match="is a bool"):
+            scalar * H
+        with pytest.raises(TypeError, match="is a bool"):
+            H * scalar
+    with pytest.raises(TypeError, match="is a bool"):
+        GaussianRational.of(True)
+    with pytest.raises(TypeError, match="is a bool"):
+        GaussianRational.of(1, False)
+    with pytest.raises(TypeError, match="is a bool"):
+        TorusElement.of([1, True])
     assert SlnElement(2, ((1, Fraction(1, 2)), (0, -1))) == H + SlnElement.from_rows([[0, "1/2"], [0, 0]])
+    assert 1 * H == H and GaussianRational.of(1, 0) == GaussianRational(Fraction(1), Fraction(0))
 
 
 def test_element_validation():
@@ -264,18 +280,21 @@ def test_killing_normalization_oracle():
 
 
 def test_ad_matrix_examples():
-    assert ad_matrix(SlnElement.zero(2)) == linalg.zeros(3, 3)
+    assert ad_matrix(SlnElement.zero(2)) == [[0] * 3 for _ in range(3)]
     # fixed basis order (E_12, E_21, diag): ad_H is diagonal with (2, -2, 0)
     assert ad_matrix(H) == [[2, 0, 0], [0, -2, 0], [0, 0, 0]]
 
 
 def test_ad_matrix_against_brackets():
+    with pytest.raises(ValueError, match="nonzero trace"):  # the identity of gl_2 is not E_11 - E_22
+        coords_in_basis([[1, 0], [0, 1]])
     rng = random.Random(37)
     for n in range(1, 7):
         basis = plain_basis(n)
         for _ in range(4 if n < 5 else 2):
             x = rand_fraction_traceless(rng, n)
             ad = ad_matrix(x)
+            assert all(type(v) is Fraction for row in ad for v in row)
             # the old construction: one SlnElement bracket per basis element
             cols = [coords_in_basis(bracket(x, SlnElement.from_rows(b)).to_matrix()) for b in basis]
             assert ad == [[c[i] for c in cols] for i in range(len(cols))]
@@ -297,7 +316,8 @@ def test_kks_matrix_against_trace_form():
             for by in basis:
                 xy = plain_commutator(x.to_matrix(), by)
                 gram.append([2 * n * plain_trace_product(xy, bz) for bz in basis])
-            assert kks_matrix(x) == gram
+            kks = kks_matrix(x)
+            assert kks == gram and all(type(v) is Fraction for row in kks for v in row)
 
 
 def test_centralizer_and_orbit_dims():

@@ -141,8 +141,8 @@ def test_no_stranded_private_functions():
 def test_integer_kernels_never_name_fraction():
     # the remainder sequences, the squarefree part, the Smith form, the Sturm chain, the integer matrix
     # product and its powers, the characteristic polynomial, composition modulo a polynomial,
-    # Paterson-Stockmeyer on an integer matrix and the sl2-triple relations run in ints and build no Fraction; a
-    # Fraction brought back into one of them would normalize a gcd at every step
+    # Paterson-Stockmeyer on an integer matrix, the columns of ad(d*x) and the sl2-triple relations run in ints
+    # and build no Fraction; a Fraction brought back into one of them would normalize a gcd at every step
     kernels = {
         "linalg.py": {
             "_int_charpoly",
@@ -159,6 +159,7 @@ def test_integer_kernels_never_name_fraction():
             "_reduced",
             "_unit_intervals_with_roots",
         },
+        "sln.py": {"_ad_columns"},
         "triples.py": {"_relations_hold"},
     }
     offenders = []

@@ -1,13 +1,21 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import dominant_by_coroot_walk, rand_jordan_type, rand_rational_spectrum
+from helpers import (
+    conjugate,
+    dominant_by_coroot_walk,
+    rand_jordan_type,
+    rand_rational_spectrum,
+    rand_unimodular,
+    time_bound,
+)
 from lieorbits import rootsys, ssorbits
 from lieorbits.rootsys import CartanType, build_root_system, dual_subset, parabolic_data, solve_coroot_coords
-from lieorbits.sln import is_semisimple, jordan_chevalley, same_orbit
+from lieorbits.sln import SlnElement, is_semisimple, jordan_chevalley, orbit_dim, same_orbit
 from lieorbits.ssorbits import (
     FundamentalDomainError,
     GaussianRational,
@@ -199,6 +207,25 @@ def test_orbit_dims_are_even_and_doubled(family, rank):
         assert dim_orbit == ss_orbit_dim(rs, h)
         assert dim_orbit % 2 == 0
         assert dim_orbit == 2 * dim_gp and dim_gp == dim_gp_star
+
+
+def test_ss_orbit_dim_equals_the_matrix_orbit_dim():
+    # h = diag(spectrum), sorted down, has the partial sums as coroot coordinates; its orbit in sl_n has
+    # dimension n^2 minus the squared multiplicities, on the root side and on a unimodular conjugate of the matrix
+    rng = random.Random(89)
+    with time_bound(2.0, "200 semisimple orbits, n = 2..9"):
+        for n in range(2, 10):
+            rs = build_root_system(CartanType("A", n - 1))
+            for _ in range(25):
+                pool = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 3))]
+                spectrum = [rng.choice(pool) for _ in range(n - 1)]
+                spectrum = sorted(spectrum + [-sum(spectrum)], reverse=True)
+                h = TorusElement.of(list(itertools.accumulate(spectrum[:-1])))
+                diag = [[spectrum[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                g, gi = rand_unimodular(rng, n)
+                x = conjugate(g, gi, SlnElement.from_rows(diag))
+                expected = n * n - sum(m * m for m in Counter(spectrum).values())
+                assert ss_orbit_dim(rs, h) == orbit_dim(x) == expected, spectrum
 
 
 def test_dominant_representative():
